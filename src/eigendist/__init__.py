@@ -18,7 +18,6 @@ from .ensembles import (
     Beta,
     Tilt,
     kernel_form,
-    segment_integrals,
     normalization_check,
     parse_spec,
     spec_string,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -271,12 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eigendist",
         description="Exact eigenvalue distributions of finite random matrices.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for the permutation sum (default: EIGENDIST_THREADS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pdf", help="marginal density of one ordered eigenvalue")
@@ -371,8 +364,6 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_fold_numeric_flags(list(argv)))
-    if args.threads is not None:
-        os.environ["EIGENDIST_THREADS"] = str(args.threads)
     try:
         return args.fn(args)
     except (InvalidModelError, ValueError) as exc:

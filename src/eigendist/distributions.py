@@ -1,11 +1,21 @@
 """Marginal and joint statistics of ordered and unordered eigenvalues.
 
-Fixing L of the M ordered eigenvalues splits the remaining indices into
-integration segments between adjacent fixed values.  That layout drives the
-whole engine: each tensor slice is either a point-evaluation matrix at a
-fixed value, a segment-integral matrix, or a constant column block, and the
-slices inside one segment are identical, which is exactly what the grouped
-permutation sum exploits.
+Every statistic here is one rank-3 tensor fed to the grouped permutation
+sum, and every tensor is built by ``_assemble`` from one key per eigenvalue
+position 1..M.  A key is either a point abscissa ``x``, whose slice holds
+the kernel evaluated at ``x``, or a segment ``(a, b, tilt)``, whose slice
+holds the kernel integrated over [a, b] under the tilt factor.  Each
+distinct key's slice is filled once, and all positions sharing a key form
+one group of the permutation plan, also when they are not adjacent; this is
+exact, because equal keys give equal slices.  Slices M+1..N hold the
+kernel's constant columns, one singleton group each.
+
+The callers differ only in their keys.  Fixing L of the M ordered
+eigenvalues gives point keys at the fixed ranks and, for each free rank,
+the segment between the adjacent fixed values (``SegmentLayout``).
+Unordered densities use point keys followed by full-support segments, and
+unordered product expectations use one tilted full-support segment per
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -23,14 +33,12 @@ from .ensembles import (
     EnsembleModel,
     IDENTITY_TILT,
     KernelForm,
-    SegmentIntegralTable,
     Tilt,
     kernel_form,
-    segment_integrals,
     spec_string,
 )
 from .errors import CapabilityError, NumericError
-from .pseudodet import EvalStats, GroupedPermutationPlan, Tensor3, det_signed_log, pseudo_det_grouped
+from .pseudodet import EvalStats, GroupedPermutationPlan, Tensor3, _det_from_arrays, pseudo_det_grouped
 from .signedlog import SignedLog
 from .specfun import log_factorial
 
@@ -149,68 +157,50 @@ class SegmentLayout:
         return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
 
 
-def _layout_tensor(
-    table: SegmentIntegralTable, layout: SegmentLayout
-) -> tuple[Tensor3, GroupedPermutationPlan]:
-    kernel = table.kernel
+def _slice(kernel: KernelForm, key) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of the n x n slice named by a point or segment key."""
+    if isinstance(key, tuple):
+        a, b, tilt = key
+        entry = lambda i, j: kernel.tilted_segment(i, j, a, b, tilt)
+    else:
+        entry = lambda i, j: kernel.point(i, j, key)
+    n = kernel.n
+    signs = np.zeros((n, n))
+    logs = np.full((n, n), -_INF)
+    for i in range(n):
+        for j in range(n):
+            v = entry(i + 1, j + 1)
+            signs[i, j] = v.sign
+            logs[i, j] = v.logmag
+    return signs, logs
+
+
+def _assemble(kernel: KernelForm, keys: Sequence) -> tuple[Tensor3, GroupedPermutationPlan]:
+    """Tensor and exact grouping plan from one slice key per eigenvalue."""
     n, m = kernel.n, kernel.m
     signs = np.zeros((n, n, n))
     logs = np.full((n, n, n), -_INF)
+    positions: dict = {}
+    for k, key in enumerate(keys):
+        positions.setdefault(key, []).append(k)
+    for key, ks in positions.items():
+        ms, ml = _slice(kernel, key)
+        signs[:, :, ks] = ms[:, :, None]
+        logs[:, :, ks] = ml[:, :, None]
+    for k in range(m, n):
+        for j in range(n):
+            v = kernel.const(j + 1, k + 1)
+            signs[k:, j, k] = v.sign
+            logs[k:, j, k] = v.logmag
+    groups = [tuple(ks) for ks in positions.values()] + [(k,) for k in range(m, n)]
+    return Tensor3(signs, logs), GroupedPermutationPlan(n, tuple(groups))
 
-    fixed = dict(zip(layout.fixed_indices, layout.fixed_values))
-    seg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    groups: list[tuple[int, ...]] = []
-    run: list[int] = []
-    run_seg = None
 
-    def fill_slice(k: int, mat_s: np.ndarray, mat_l: np.ndarray) -> None:
-        signs[:, :, k - 1] = mat_s
-        logs[:, :, k - 1] = mat_l
-
-    def matrix(fn) -> tuple[np.ndarray, np.ndarray]:
-        ms = np.zeros((n, n))
-        ml = np.full((n, n), -_INF)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                v = fn(i, j)
-                ms[i - 1, j - 1] = v.sign
-                ml[i - 1, j - 1] = v.logmag
-        return ms, ml
-
-    for k in range(1, m + 1):
-        if k in fixed:
-            if run:
-                groups.append(tuple(p - 1 for p in run))
-                run, run_seg = [], None
-            x = fixed[k]
-            ms, ml = matrix(lambda i, j: table.point(i, j, x))
-            fill_slice(k, ms, ml)
-            groups.append((k - 1,))
-        else:
-            s = layout.segment_of(k)
-            if s not in seg_cache:
-                lo, hi = layout.segment_bounds(s)
-                seg_cache[s] = matrix(lambda i, j: table.segment(i, j, lo, hi))
-            fill_slice(k, *seg_cache[s])
-            if run_seg == s:
-                run.append(k)
-            else:
-                if run:
-                    groups.append(tuple(p - 1 for p in run))
-                run, run_seg = [k], s
-    if run:
-        groups.append(tuple(p - 1 for p in run))
-
-    for k in range(m + 1, n + 1):
-        for j in range(1, n + 1):
-            v = table.const(j, k)
-            for i in range(k, n + 1):
-                signs[i - 1, j - 1, k - 1] = v.sign
-                logs[i - 1, j - 1, k - 1] = v.logmag
-        groups.append((k - 1,))
-
-    plan = GroupedPermutationPlan(n, tuple(groups))
-    return Tensor3(signs, logs), plan
+def _unordered_value(kernel: KernelForm, keys: Sequence, stats: Optional[EvalStats] = None) -> float:
+    """Exchangeable statistic: the operator over ``keys``, divided by M!."""
+    value = pseudo_det_grouped(*_assemble(kernel, keys), stats)
+    scale = kernel.log_k * SignedLog.from_log(-log_factorial(kernel.m))
+    return (scale * value).to_float()
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +220,13 @@ def joint_pdf_ordered(
     layout = SegmentLayout(kernel.m, tuple(indices), tuple(xs), kernel.support)
     if not layout.ordering_holds():
         return 0.0
-    table = segment_integrals(model)
-    tensor, plan = _layout_tensor(table, layout)
-    value = pseudo_det_grouped(tensor, plan, stats)
+    fixed = dict(zip(layout.fixed_indices, layout.fixed_values))
+    keys = [
+        fixed[k] if k in fixed
+        else (*layout.segment_bounds(layout.segment_of(k)), IDENTITY_TILT)
+        for k in range(1, kernel.m + 1)
+    ]
+    value = pseudo_det_grouped(*_assemble(kernel, keys), stats)
     scale = SignedLog.from_log(layout.log_order_constant()) * kernel.log_k
     return (scale * value).to_float()
 
@@ -275,7 +269,7 @@ def joint_pdf_unordered(
     """Exchangeable joint density of ``count`` unordered eigenvalues."""
     kernel = kernel_form(model)
     _check_capability(kernel)
-    m, n = kernel.m, kernel.n
+    m = kernel.m
     if not (1 <= count <= m):
         raise ValueError(f"subset size {count} outside 1..{m}")
     xs = [float(v) for v in xs]
@@ -284,43 +278,7 @@ def joint_pdf_unordered(
     lo, hi = kernel.support
     if any(not (lo <= v <= hi) for v in xs):
         return 0.0
-    table = segment_integrals(model)
-
-    signs = np.zeros((n, n, n))
-    logs = np.full((n, n, n), -_INF)
-    groups: list[tuple[int, ...]] = []
-    for k in range(1, count + 1):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                v = table.point(i, j, xs[k - 1])
-                signs[i - 1, j - 1, k - 1] = v.sign
-                logs[i - 1, j - 1, k - 1] = v.logmag
-        groups.append((k - 1,))
-    if count < m:
-        ms = np.zeros((n, n))
-        ml = np.full((n, n), -_INF)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                v = table.segment(i, j, lo, hi)
-                ms[i - 1, j - 1] = v.sign
-                ml[i - 1, j - 1] = v.logmag
-        for k in range(count + 1, m + 1):
-            signs[:, :, k - 1] = ms
-            logs[:, :, k - 1] = ml
-        groups.append(tuple(range(count, m)))
-    for k in range(m + 1, n + 1):
-        for j in range(1, n + 1):
-            v = table.const(j, k)
-            for i in range(k, n + 1):
-                signs[i - 1, j - 1, k - 1] = v.sign
-                logs[i - 1, j - 1, k - 1] = v.logmag
-        groups.append((k - 1,))
-
-    tensor = Tensor3(signs, logs)
-    plan = GroupedPermutationPlan(n, tuple(groups))
-    value = pseudo_det_grouped(tensor, plan, stats)
-    scale = kernel.log_k * SignedLog.from_log(-log_factorial(m))
-    return (scale * value).to_float()
+    return _unordered_value(kernel, xs + [(lo, hi, IDENTITY_TILT)] * (m - count), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +303,6 @@ def prob_all_in(
     hi = min(b, kernel.support[1])
     if hi <= lo:
         return 0.0
-    table = segment_integrals(model)
     if method not in ("auto", "determinant", "tensor"):
         raise ValueError(f"unknown method {method!r}")
     if method == "determinant" and kernel.n != kernel.m:
@@ -353,39 +310,10 @@ def prob_all_in(
     if method == "auto":
         method = "determinant" if kernel.n == kernel.m else "tensor"
 
+    key = (lo, hi, IDENTITY_TILT)
     if method == "determinant":
-        mat = [
-            [table.segment(i, j, lo, hi) for j in range(1, kernel.m + 1)]
-            for i in range(1, kernel.m + 1)
-        ]
-        return (kernel.log_k * det_signed_log(mat)).to_float()
-
-    n, m = kernel.n, kernel.m
-    signs = np.zeros((n, n, n))
-    logs = np.full((n, n, n), -_INF)
-    ms = np.zeros((n, n))
-    ml = np.full((n, n), -_INF)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            v = table.segment(i, j, lo, hi)
-            ms[i - 1, j - 1] = v.sign
-            ml[i - 1, j - 1] = v.logmag
-    groups: list[tuple[int, ...]] = [tuple(range(m))]
-    for k in range(1, m + 1):
-        signs[:, :, k - 1] = ms
-        logs[:, :, k - 1] = ml
-    for k in range(m + 1, n + 1):
-        for j in range(1, n + 1):
-            v = table.const(j, k)
-            for i in range(k, n + 1):
-                signs[i - 1, j - 1, k - 1] = v.sign
-                logs[i - 1, j - 1, k - 1] = v.logmag
-        groups.append((k - 1,))
-    tensor = Tensor3(signs, logs)
-    plan = GroupedPermutationPlan(n, tuple(groups))
-    value = pseudo_det_grouped(tensor, plan)
-    scale = kernel.log_k * SignedLog.from_log(-log_factorial(m))
-    return (scale * value).to_float()
+        return (kernel.log_k * _det_from_arrays(*_slice(kernel, key))).to_float()
+    return _unordered_value(kernel, [key] * kernel.m)
 
 
 # ---------------------------------------------------------------------------
@@ -512,44 +440,12 @@ def expect_product_unordered(model: EnsembleModel, factors: Sequence) -> float:
     spectrum; one factor per eigenvalue, identity factors allowed."""
     kernel = kernel_form(model)
     _check_capability(kernel)
-    m, n = kernel.m, kernel.n
+    m = kernel.m
     tilts = [_as_tilt(f) for f in factors]
     if len(tilts) != m:
         raise ValueError(f"expected {m} factors, got {len(tilts)}")
-    table = segment_integrals(model)
     lo, hi = kernel.support
-
-    signs = np.zeros((n, n, n))
-    logs = np.full((n, n, n), -_INF)
-    by_tilt: dict[Tilt, list[int]] = {}
-    for k, tilt in enumerate(tilts, start=1):
-        by_tilt.setdefault(tilt, []).append(k)
-    groups: list[tuple[int, ...]] = []
-    for tilt, ks in by_tilt.items():
-        ms = np.zeros((n, n))
-        ml = np.full((n, n), -_INF)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                v = table.tilted_segment(i, j, lo, hi, tilt)
-                ms[i - 1, j - 1] = v.sign
-                ml[i - 1, j - 1] = v.logmag
-        for k in ks:
-            signs[:, :, k - 1] = ms
-            logs[:, :, k - 1] = ml
-        groups.append(tuple(k - 1 for k in ks))
-    for k in range(m + 1, n + 1):
-        for j in range(1, n + 1):
-            v = table.const(j, k)
-            for i in range(k, n + 1):
-                signs[i - 1, j - 1, k - 1] = v.sign
-                logs[i - 1, j - 1, k - 1] = v.logmag
-        groups.append((k - 1,))
-
-    tensor = Tensor3(signs, logs)
-    plan = GroupedPermutationPlan(n, tuple(groups))
-    value = pseudo_det_grouped(tensor, plan)
-    scale = kernel.log_k * SignedLog.from_log(-log_factorial(m))
-    return (scale * value).to_float()
+    return _unordered_value(kernel, [(lo, hi, tilt) for tilt in tilts])
 
 
 def moments_unordered(model: EnsembleModel, orders: Sequence[int]) -> float:

@@ -45,9 +45,7 @@ __all__ = [
     "EnsembleModel",
     "Tilt",
     "KernelForm",
-    "SegmentIntegralTable",
     "kernel_form",
-    "segment_integrals",
     "normalization_check",
     "parse_spec",
     "spec_string",
@@ -741,27 +739,6 @@ class _NoncentralKernel(KernelForm):
         return _quad_log_scaled(log_f, max(a, 0.0), b)
 
 
-class SegmentIntegralTable:
-    """Point / segment / constant access for one ensemble's kernel rows."""
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel: KernelForm):
-        self.kernel = kernel
-
-    def point(self, i: int, j: int, x: float) -> SignedLog:
-        return self.kernel.point(i, j, x)
-
-    def segment(self, i: int, j: int, a: float, b: float) -> SignedLog:
-        return self.kernel.segment(i, j, a, b)
-
-    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
-        return self.kernel.tilted_segment(i, j, a, b, tilt)
-
-    def const(self, j: int, k: int) -> SignedLog:
-        return self.kernel.const(j, k)
-
-
 _KERNELS = {
     UncorrelatedWishart: _UncorrelatedKernel,
     CorrelatedWishart: _CorrelatedKernel,
@@ -780,11 +757,6 @@ def kernel_form(model: EnsembleModel) -> KernelForm:
     except KeyError:
         raise InvalidModelError(f"unsupported ensemble {type(model).__name__}") from None
     return cls(model)
-
-
-def segment_integrals(model: EnsembleModel) -> SegmentIntegralTable:
-    """Closed-form (or quadrature-backed) integral rules for the kernel rows."""
-    return SegmentIntegralTable(kernel_form(model))
 
 
 def normalization_check(model: EnsembleModel) -> float:

@@ -8,16 +8,13 @@ assigned first-indices inside that set changes the determinant's row order
 and the permutation sign by the same transposition parity, so one
 representative per assignment class suffices with a factorial multiplicity
 weight.  All determinants run in sign-tracked log scale with per-row
-rescaling, and the outer sum is merged chunk-by-chunk in a fixed order so
-results do not depend on the worker count.
+rescaling, and the outer sum is merged chunk-by-chunk in a fixed order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +29,10 @@ __all__ = [
     "det_signed_log",
     "pseudo_det",
     "pseudo_det_grouped",
-    "worker_count",
 ]
 
+# permutations per determinant batch; bounds the (B, N, N) work arrays
 _CHUNK = 4096
-_THREADS_ENV = "EIGENDIST_THREADS"
-
-
-def worker_count() -> int:
-    raw = os.environ.get(_THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 class Tensor3:
@@ -71,21 +59,6 @@ class Tensor3:
         self.n = n
         self.signs = signs
         self.logs = logs
-
-    @classmethod
-    def from_function(cls, n: int, fn) -> "Tensor3":
-        """Build from ``fn(i, j, k) -> SignedLog`` with 1-based indices."""
-        if n < 1:
-            raise ValueError(f"tensor dimension must be >= 1, got {n}")
-        signs = np.zeros((n, n, n))
-        logs = np.full((n, n, n), -np.inf)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    v = fn(i + 1, j + 1, k + 1)
-                    signs[i, j, k] = v.sign
-                    logs[i, j, k] = v.logmag
-        return cls(signs, logs)
 
     def element(self, i: int, j: int, k: int) -> SignedLog:
         if not (1 <= i <= self.n and 1 <= j <= self.n and 1 <= k <= self.n):
@@ -118,6 +91,8 @@ def _batch_det(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _det_from_arrays(signs: np.ndarray, logs: np.ndarray) -> SignedLog:
+    if np.isnan(logs).any():
+        raise NumericError("non-finite matrix entry")
     sgn, log = _batch_det(signs[None, :, :], logs[None, :, :])
     return SignedLog.from_log(float(log[0]), int(sgn[0]))
 
@@ -141,8 +116,6 @@ def det_signed_log(matrix) -> SignedLog:
         for j, v in enumerate(row):
             signs[i, j] = v.sign
             logs[i, j] = v.logmag
-    if np.isnan(logs).any():
-        raise NumericError("non-finite matrix entry")
     return _det_from_arrays(signs, logs)
 
 
@@ -195,33 +168,30 @@ class GroupedPermutationPlan:
         return math.factorial(self.n) // self.multiplicity
 
     def check_against(self, tensor: Tensor3, rtol: float = 1e-12) -> None:
-        """Spot-check that slices within each group really are k-constant."""
+        """Check that every entry of each group's slices equals the group's
+        first slice: signs exactly, log magnitudes to ``rtol``."""
         if tensor.n != self.n:
             raise InvalidPlanError(
                 f"plan dimension {self.n} does not match tensor dimension {tensor.n}"
             )
-        rng = np.random.default_rng(0xE16)
+        first = np.empty(self.n, dtype=np.intp)
         for g in self.groups:
-            if len(g) == 1:
-                continue
-            base = g[0]
-            for _ in range(3):
-                i = int(rng.integers(self.n))
-                j = int(rng.integers(self.n))
-                ref_s = tensor.signs[i, j, base]
-                ref_l = tensor.logs[i, j, base]
-                for k in g[1:]:
-                    s, logv = tensor.signs[i, j, k], tensor.logs[i, j, k]
-                    if s != ref_s:
-                        raise InvalidPlanError(
-                            f"slice value changes sign inside group {g} at ({i + 1}, {j + 1})"
-                        )
-                    if ref_l == -np.inf and logv == -np.inf:
-                        continue
-                    if abs(logv - ref_l) > rtol * max(1.0, abs(ref_l)):
-                        raise InvalidPlanError(
-                            f"slice value varies inside group {g} at ({i + 1}, {j + 1})"
-                        )
+            first[list(g)] = g[0]
+        ref_s = tensor.signs[:, :, first]
+        ref_l = tensor.logs[:, :, first]
+        # equal signs imply both logs finite or both -inf (Tensor3 convention)
+        with np.errstate(invalid="ignore"):
+            drift = np.abs(tensor.logs - ref_l) > rtol * np.maximum(1.0, np.abs(ref_l))
+        for bad, what in (
+            (tensor.signs != ref_s, "changes sign"),
+            (np.isfinite(ref_l) & drift, "varies"),
+        ):
+            if bad.any():
+                i, j, k = (int(v) for v in np.argwhere(bad)[0])
+                group = next(g for g in self.groups if k in g)
+                raise InvalidPlanError(
+                    f"slice value {what} inside group {group} at ({i + 1}, {j + 1})"
+                )
 
 
 def _representatives(groups: tuple[tuple[int, ...], ...], n: int):
@@ -272,21 +242,11 @@ def _batched(iterator, size: int):
 
 def _accumulate(tensor: Tensor3, mu_iter, stats: EvalStats | None) -> SignedLog:
     acc = SignedLogSum()
-    workers = worker_count()
-    if workers == 1:
-        for batch in _batched(mu_iter, _CHUNK):
-            if stats is not None:
-                stats.determinants += len(batch)
-            s, l = _chunk_terms(tensor, batch)
-            acc.add_terms(s, l)
-    else:
-        batches = list(_batched(mu_iter, _CHUNK))
+    for batch in _batched(mu_iter, _CHUNK):
         if stats is not None:
-            stats.determinants += sum(len(b) for b in batches)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map preserves submission order, keeping the merge deterministic
-            for s, l in pool.map(lambda b: _chunk_terms(tensor, b), batches):
-                acc.add_terms(s, l)
+            stats.determinants += len(batch)
+        s, l = _chunk_terms(tensor, batch)
+        acc.add_terms(s, l)
     return acc.total()
 
 

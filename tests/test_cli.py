@@ -202,19 +202,3 @@ def test_reproduce_figures_manifest(tmp_path, capsys):
     fig1 = (outdir / "fig01.csv").read_text()
     assert fig1.count("# ensemble=") == 4
     assert len(fig1.strip().split("\n")) == 4 * 13
-
-
-def test_threads_flag_sets_env(monkeypatch, capsys):
-    monkeypatch.delenv("EIGENDIST_THREADS", raising=False)
-    code, out, _ = run(
-        capsys,
-        "--threads", "2",
-        "prob-interval",
-        "--ensemble", "uncorrelated-wishart", "--M", "2", "--n", "2",
-        "--a", "0", "--b", "1",
-    )
-    assert code == 0
-    import os
-
-    assert os.environ.get("EIGENDIST_THREADS") == "2"
-    monkeypatch.delenv("EIGENDIST_THREADS", raising=False)

@@ -356,6 +356,22 @@ def test_joint_mgf_small_rates():
     assert got == pytest.approx(want, rel=1e-7)
 
 
+def test_unordered_moment_with_non_adjacent_equal_factors():
+    # equal factors at positions 1, 3 and at 2, 4 form non-adjacent groups;
+    # E[l1 l2] = (E[(tr W)^2] - E[tr W^2]) / 12 = (440 - 200) / 12 = 20
+    model = UncorrelatedWishart(4, 5)
+    split = moments_unordered(model, (1, 0, 1, 0))
+    assert split == pytest.approx(moments_unordered(model, (1, 1, 0, 0)), rel=1e-12)
+    assert split == pytest.approx(20.0, rel=1e-10)
+
+
+def test_unordered_moment_with_constant_columns_is_exchangeable():
+    model = CorrelatedWishart(3, 5, (2.0, 1.0), (2, 3))
+    got = moments_unordered(model, (2, 0, 1))
+    assert got == pytest.approx(moments_unordered(model, (0, 1, 2)), rel=1e-12)
+    assert got == pytest.approx(71.5, rel=1e-10)
+
+
 # -- grouped-plan telemetry ---------------------------------------------------------
 
 
@@ -380,6 +396,19 @@ def test_marginal_grouping_telemetry_with_constant_columns():
     pdf_single(cw, 1, 2.0, stats=stats)
     # kernel dimension 4, one free rank below the fixed one: 4!/1! = 24
     assert stats.determinants == 24
+
+
+def test_unordered_pdf_grouping_telemetry():
+    stats = EvalStats()
+    joint_pdf_unordered(UncorrelatedWishart(4, 5), 2, (3.0, 5.0), stats=stats)
+    assert stats.determinants == 12  # 4!/(1! 1! 2!)
+
+
+def test_pair_grouping_telemetry_with_constant_columns():
+    stats = EvalStats()
+    cw = CorrelatedWishart(3, 5, (2.0, 1.0), (2, 3))
+    joint_pdf_ordered(cw, (1, 3), (6.0, 1.0), stats=stats)
+    assert stats.determinants == 120  # 5!: every slice is its own group
 
 
 # -- capability limits ---------------------------------------------------------------

@@ -19,7 +19,6 @@ from eigendist.ensembles import (
     mean_eigenvalue_sum,
     normalization_check,
     parse_spec,
-    segment_integrals,
     spec_string,
 )
 from eigendist.errors import ConditioningWarning, InvalidModelError
@@ -81,7 +80,7 @@ def _random_bounds(rng, support):
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: spec_string(m))
 def test_segment_rules_agree_with_quadrature(model):
-    table = segment_integrals(model)
+    table = kernel_form(model)
     kernel = kernel_form(model)
     rng = np.random.default_rng(abs(hash(model)) % 2**32)
     checks = 0
@@ -103,7 +102,7 @@ def test_segment_rules_agree_with_quadrature(model):
     ids=lambda m: spec_string(m),
 )
 def test_unbounded_segments_agree_with_quadrature(model):
-    table = segment_integrals(model)
+    table = kernel_form(model)
     kernel = kernel_form(model)
     for i, j, a in [(1, 1, 0.5), (2, 1, 2.0), (2, 2, 1.0)]:
         got = table.segment(i, j, a, math.inf).to_float()
@@ -117,19 +116,19 @@ def test_unbounded_segments_agree_with_quadrature(model):
 
 def test_gue_odd_power_negative_half_axis():
     # integral of x e^(-x^2) over the negative half-axis is -1/2
-    table = segment_integrals(GUE(2))
+    table = kernel_form(GUE(2))
     got = table.segment(1, 2, -math.inf, 0.0).to_float()
     assert got == pytest.approx(-0.5, rel=1e-13)
 
 
 def test_uncorrelated_trivial_full_mass():
-    table = segment_integrals(UncorrelatedWishart(1, 1))
+    table = kernel_form(UncorrelatedWishart(1, 1))
     assert table.segment(1, 1, 0.0, math.inf).to_float() == pytest.approx(1.0)
 
 
 def test_tilted_segments_match_quadrature():
     model = UncorrelatedWishart(2, 3)
-    table = segment_integrals(model)
+    table = kernel_form(model)
     for tilt in [Tilt(power=2), Tilt(rate=0.3), Tilt(power=1, rate=-0.5)]:
         got = table.tilted_segment(1, 2, 0.0, math.inf, tilt).to_float()
         # the tail beyond 300 is far below the comparison tolerance
@@ -138,7 +137,7 @@ def test_tilted_segments_match_quadrature():
 
 
 def test_tilt_divergence_rejected():
-    table = segment_integrals(UncorrelatedWishart(2, 2))
+    table = kernel_form(UncorrelatedWishart(2, 2))
     with pytest.raises(ValueError, match="divergent"):
         table.tilted_segment(1, 1, 0.0, math.inf, Tilt(rate=1.0))
 
@@ -147,7 +146,7 @@ def test_constant_columns_match_hand_values():
     # one distinct inverse-covariance eigenvalue of multiplicity n reduces the
     # constant block to falling factorials of n-k
     model = CorrelatedWishart(2, 4, (2.0,), (4,))
-    table = segment_integrals(model)
+    table = kernel_form(model)
     # row j has offset d(j) = 4 - j, rate 2; column k in 3..4
     for j in range(1, 5):
         for k in (3, 4):

@@ -227,6 +227,18 @@ def test_plan_mismatch_detected():
         pseudo_det_grouped(t, plan)
 
 
+def test_plan_mismatch_in_one_entry_detected():
+    # slices 1..3 agree everywhere except entry (1, 1) of slice 3; grouping
+    # them anyway would return a wrong value instead of the full sum
+    rng = np.random.default_rng(11)
+    vals = grouped_random_tensor(rng, 4, [3])
+    vals[0, 0, 2] += 1.0
+    t = tensor_from_values(vals)
+    plan = GroupedPermutationPlan.from_segment_sizes(4, [3])
+    with pytest.raises(InvalidPlanError, match=r"group \(0, 1, 2\) at \(1, 1\)"):
+        pseudo_det_grouped(t, plan)
+
+
 def test_plan_partition_validated():
     with pytest.raises(InvalidPlanError):
         GroupedPermutationPlan(3, ((0, 1), (1, 2)))
@@ -247,8 +259,6 @@ def test_plan_dimension_mismatch():
 def test_zero_dimension_rejected():
     with pytest.raises(ValueError):
         Tensor3(np.zeros((0, 0, 0)), np.zeros((0, 0, 0)))
-    with pytest.raises(ValueError):
-        Tensor3.from_function(0, lambda i, j, k: SignedLog.one())
 
 
 def test_nan_element_reported_with_indices():
@@ -267,15 +277,3 @@ def test_element_accessor_is_one_based():
     assert t.element(2, 3, 1).to_float() == pytest.approx(132.0)
     with pytest.raises(IndexError):
         t.element(0, 1, 1)
-
-
-def test_threaded_evaluation_is_deterministic(monkeypatch):
-    rng = np.random.default_rng(99)
-    vals = grouped_random_tensor(rng, 5, [2, 3])
-    t = tensor_from_values(vals)
-    plan = GroupedPermutationPlan.from_segment_sizes(5, [2, 3])
-    serial = pseudo_det_grouped(t, plan)
-    monkeypatch.setenv("EIGENDIST_THREADS", "4")
-    threaded = pseudo_det_grouped(t, plan)
-    assert serial.sign == threaded.sign
-    assert serial.logmag == threaded.logmag
