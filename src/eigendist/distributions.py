@@ -4,11 +4,12 @@ Every statistic here is one rank-3 tensor fed to the grouped permutation
 sum, and every tensor is built by ``_assemble`` from one key per eigenvalue
 position 1..M.  A key is either a point abscissa ``x``, whose slice holds
 the kernel evaluated at ``x``, or a segment ``(a, b, tilt)``, whose slice
-holds the kernel integrated over [a, b] under the tilt factor.  Each
-distinct key's slice is filled once, and all positions sharing a key form
-one group of the permutation plan, also when they are not adjacent; this is
-exact, because equal keys give equal slices.  Slices M+1..N hold the
-kernel's constant columns, one singleton group each.
+holds the kernel integrated over [a, b] under the tilt factor; the kernel
+itself fills a key's slice (``KernelForm.slice``).  Each distinct key's
+slice is filled once, and all positions sharing a key form one group of the
+permutation plan, also when they are not adjacent; this is exact, because
+equal keys give equal slices.  Slices M+1..N hold the kernel's constant
+columns, one singleton group each.
 
 The callers differ only in their keys.  Fixing L of the M ordered
 eigenvalues gives point keys at the fixed ranks and, for each free rank,
@@ -157,24 +158,6 @@ class SegmentLayout:
         return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
 
 
-def _slice(kernel: KernelForm, key) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and logs of the n x n slice named by a point or segment key."""
-    if isinstance(key, tuple):
-        a, b, tilt = key
-        entry = lambda i, j: kernel.tilted_segment(i, j, a, b, tilt)
-    else:
-        entry = lambda i, j: kernel.point(i, j, key)
-    n = kernel.n
-    signs = np.zeros((n, n))
-    logs = np.full((n, n), -_INF)
-    for i in range(n):
-        for j in range(n):
-            v = entry(i + 1, j + 1)
-            signs[i, j] = v.sign
-            logs[i, j] = v.logmag
-    return signs, logs
-
-
 def _assemble(kernel: KernelForm, keys: Sequence) -> tuple[Tensor3, GroupedPermutationPlan]:
     """Tensor and exact grouping plan from one slice key per eigenvalue."""
     n, m = kernel.n, kernel.m
@@ -184,7 +167,7 @@ def _assemble(kernel: KernelForm, keys: Sequence) -> tuple[Tensor3, GroupedPermu
     for k, key in enumerate(keys):
         positions.setdefault(key, []).append(k)
     for key, ks in positions.items():
-        ms, ml = _slice(kernel, key)
+        ms, ml = kernel.slice(key)
         signs[:, :, ks] = ms[:, :, None]
         logs[:, :, ks] = ml[:, :, None]
     for k in range(m, n):
@@ -312,7 +295,7 @@ def prob_all_in(
 
     key = (lo, hi, IDENTITY_TILT)
     if method == "determinant":
-        return (kernel.log_k * _det_from_arrays(*_slice(kernel, key))).to_float()
+        return (kernel.log_k * _det_from_arrays(*kernel.slice(key))).to_float()
     return _unordered_value(kernel, [key] * kernel.m)
 
 

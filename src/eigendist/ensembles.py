@@ -8,8 +8,15 @@ where Phi is m x m, Psi is n x n with n >= m (columns past m are constants),
 and xi is a scalar weight.  The engine only ever needs three things from an
 ensemble: point values of the weighted row products, their integrals over a
 segment of the support, and the constant block.  All three are returned in
-signed-log form, with closed forms in terms of incomplete gamma and beta
-sums wherever the product is monomial-exponential; the noncentral columns
+signed-log form, and ``KernelForm.slice`` fills the n x n slice of entries
+at one abscissa or over one segment.
+
+The uncorrelated, spiked and correlated Wishart kernels, and the polynomial
+columns of the noncentral one, share one entry rule: each declares in
+``_entry(i, j)`` a triple (sign, power, scale) for the weighted product
+``sign * x^power * e^(-x/scale)``, and ``_GammaKernel`` turns it into point
+values and incomplete-gamma segment integrals.  GUE (Gaussian weight) and
+Beta (binomial sums) keep their own rules; the noncentral series columns
 carry a confluent series factor and fall back to adaptive quadrature.
 """
 
@@ -25,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConditioningWarning, InvalidModelError
-from .pseudodet import det_signed_log
+from .pseudodet import _det_from_arrays, det_signed_log
 from .signedlog import SignedLog
 from .specfun import (
     falling_factorial,
@@ -90,6 +97,8 @@ class CorrelatedWishart:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
+        if any(not float(v).is_integer() for v in self.mult):
+            raise InvalidModelError(f"multiplicities must be integers: {self.mult}")
         object.__setattr__(self, "mult", tuple(int(v) for v in self.mult))
         if self.p < 1 or self.n < 1:
             raise InvalidModelError(f"p and n must be >= 1, got p={self.p}, n={self.n}")
@@ -385,16 +394,11 @@ class KernelForm:
     def const(self, j: int, k: int) -> SignedLog:
         raise ValueError(f"kernel has no constant columns (n == m == {self.m})")
 
-    def sigma_row(self, i: int, x: float) -> SignedLog:
-        """Extended weighted row: phi_i * xi for i <= m, bare xi above."""
-        if i <= self.m:
-            return self.phi(i, x) * self.xi(x)
-        return self.xi(x)
-
-    # -- table rules (overridden with closed forms) ---------------------------
+    # -- table rules: closed forms of the weighted row products ----------------
 
     def point(self, i: int, j: int, x: float) -> SignedLog:
-        return self.sigma_row(i, x) * self.psi(j, x)
+        """Entry (i, j) at x: phi_i * xi * psi_j, or bare xi * psi_j for i > m."""
+        raise NotImplementedError
 
     def segment(self, i: int, j: int, a: float, b: float) -> SignedLog:
         return self.tilted_segment(i, j, a, b, IDENTITY_TILT)
@@ -414,7 +418,7 @@ class KernelForm:
 
         def f(x: float) -> float:
             # compose in log scale; only the final conversion can saturate
-            v = self.sigma_row(i, x) * self.psi(j, x)
+            v = self.point(i, j, x)
             if tilt.power:
                 v = v * SignedLog.of(x) ** tilt.power
             if tilt.rate:
@@ -429,6 +433,23 @@ class KernelForm:
         if hi <= lo:
             return SignedLog.zero()
         return _quad_plain(f, lo, hi)
+
+    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
+        """Signs and logs of the n x n slice named by a point abscissa or a
+        segment key ``(a, b, tilt)``."""
+        if isinstance(key, tuple):
+            a, b, tilt = key
+            entry = lambda i, j: self.tilted_segment(i, j, a, b, tilt)
+        else:
+            entry = lambda i, j: self.point(i, j, key)
+        signs = np.zeros((self.n, self.n))
+        logs = np.full((self.n, self.n), -_INF)
+        for i in range(self.n):
+            for j in range(self.n):
+                v = entry(i + 1, j + 1)
+                signs[i, j] = v.sign
+                logs[i, j] = v.logmag
+        return signs, logs
 
     # -- direct density -------------------------------------------------------
 
@@ -460,7 +481,33 @@ class _MonomialSquareKernel(KernelForm):
     psi = phi
 
 
-class _UncorrelatedKernel(_MonomialSquareKernel):
+class _GammaKernel(KernelForm):
+    """Kernels whose weighted entry (i, j) is ``sign * x^power * e^(-x/scale)``
+    on (0, inf); subclasses declare that triple in ``_entry``, and segments
+    are incomplete gamma functions.
+
+    The decay is a scale, not a rate, so the spiked kernel divides by its
+    sigmas exactly as given: its permutation sums cancel strongly enough to
+    turn a one-ulp change in ``x/sigma`` into 9e-9 relative in a density.
+    """
+
+    def _entry(self, i: int, j: int) -> tuple:
+        raise NotImplementedError
+
+    def point(self, i: int, j: int, x: float) -> SignedLog:
+        sign, power, scale = self._entry(i, j)
+        return SignedLog.from_log(_log_pow(x, power) - x / scale, sign)
+
+    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
+        if tilt.fn is not None:
+            return self._quad_tilted(i, j, a, b, tilt)
+        self._check_rate(tilt)
+        sign, power, scale = self._entry(i, j)
+        val = _gamma_rate_segment(power + tilt.power, 1.0 / scale - tilt.rate, max(a, 0.0), b)
+        return val if sign > 0 else -val
+
+
+class _UncorrelatedKernel(_MonomialSquareKernel, _GammaKernel):
     def __init__(self, model: UncorrelatedWishart):
         self.model = model
         self.m = self.n = model.dim
@@ -476,16 +523,8 @@ class _UncorrelatedKernel(_MonomialSquareKernel):
         power = self.model.n - self.model.dim
         return SignedLog.from_log(_log_pow(x, power) - x)
 
-    def point(self, i: int, j: int, x: float) -> SignedLog:
-        q = i + j + self.model.n - self.model.dim - 2
-        return SignedLog.from_log(_log_pow(x, q) - x)
-
-    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
-        if tilt.fn is not None:
-            return self._quad_tilted(i, j, a, b, tilt)
-        self._check_rate(tilt)
-        q = i + j + self.model.n - self.model.dim - 2 + tilt.power
-        return _gamma_rate_segment(q, 1.0 - tilt.rate, max(a, 0.0), b)
+    def _entry(self, i: int, j: int) -> tuple:
+        return 1, i + j + self.model.n - self.model.dim - 2, 1.0
 
 
 class _GUEKernel(_MonomialSquareKernel):
@@ -544,7 +583,7 @@ class _BetaKernel(_MonomialSquareKernel):
         return _beta_power_segment(i + j - 2 + self.model.m + tilt.power, self.model.n, a, b)
 
 
-class _SpikedKernel(KernelForm):
+class _SpikedKernel(_GammaKernel):
     """Spiked-covariance Wishart kernel.
 
     The ordered-difference product is folded into alternating monomial rows
@@ -579,27 +618,15 @@ class _SpikedKernel(KernelForm):
     def xi(self, x: float) -> SignedLog:
         return SignedLog.from_log(_log_pow(x, self.model.n - self.model.dim))
 
-    def _shape_scale(self, i: int, j: int) -> tuple:
+    def _entry(self, i: int, j: int) -> tuple:
+        sign = -1 if (i - 1) % 2 else 1
         n = self.model.n
         if j == 1:
-            return n - self.model.dim + i, self.model.sigma1
-        return n + i - j, self.model.sigma2
-
-    def point(self, i: int, j: int, x: float) -> SignedLog:
-        shape, scale = self._shape_scale(i, j)
-        sign = -1 if (i - 1) % 2 else 1
-        return SignedLog.from_log(_log_pow(x, shape - 1) - x / scale, sign)
-
-    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
-        if tilt.fn is not None:
-            return self._quad_tilted(i, j, a, b, tilt)
-        self._check_rate(tilt)
-        shape, scale = self._shape_scale(i, j)
-        val = _gamma_rate_segment(shape - 1 + tilt.power, 1.0 / scale - tilt.rate, max(a, 0.0), b)
-        return -val if (i - 1) % 2 else val
+            return sign, n - self.model.dim + i - 1, self.model.sigma1
+        return sign, n + i - j - 1, self.model.sigma2
 
 
-class _CorrelatedKernel(KernelForm):
+class _CorrelatedKernel(_GammaKernel):
     """General-correlation quadratic-form kernel with constant tail columns."""
 
     def __init__(self, model: CorrelatedWishart):
@@ -633,9 +660,6 @@ class _CorrelatedKernel(KernelForm):
                 )
         return SignedLog.from_log(log_num - log_den, sign)
 
-    def _zeta(self, i: int) -> int:
-        return i - 1 if i <= self.m else 0
-
     def phi(self, i: int, x: float) -> SignedLog:
         return SignedLog.from_log(_log_pow(x, i - 1))
 
@@ -657,27 +681,18 @@ class _CorrelatedKernel(KernelForm):
             (self.n - k - d) * math.log(rate)
         )
 
-    def point(self, i: int, j: int, x: float) -> SignedLog:
+    def _entry(self, i: int, j: int) -> tuple:
+        # phi_i = x^(i-1) on the random rows, bare xi on the rows past m
         d = self._d[j - 1]
-        rate = self.model.phi[self._e[j - 1]]
-        q = self.model.p - self.m + self._zeta(i) + d
+        zeta = i - 1 if i <= self.m else 0
         sign = -1 if d % 2 else 1
-        return SignedLog.from_log(_log_pow(x, q) - rate * x, sign)
-
-    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
-        if tilt.fn is not None:
-            return self._quad_tilted(i, j, a, b, tilt)
-        self._check_rate(tilt)
-        d = self._d[j - 1]
-        rate = self.model.phi[self._e[j - 1]]
-        q = self.model.p - self.m + self._zeta(i) + d + tilt.power
-        val = _gamma_rate_segment(q, rate - tilt.rate, max(a, 0.0), b)
-        return -val if d % 2 else val
+        return sign, self.model.p - self.m + zeta + d, 1.0 / self.model.phi[self._e[j - 1]]
 
 
-class _NoncentralKernel(KernelForm):
+class _NoncentralKernel(_GammaKernel):
     """Noncentral uncorrelated kernel; the first rank columns carry the
-    confluent series and are integrated by adaptive quadrature."""
+    confluent series and are integrated by adaptive quadrature, the other
+    columns follow the gamma rule."""
 
     def __init__(self, model: NoncentralWishart):
         self.model = model
@@ -688,14 +703,7 @@ class _NoncentralKernel(KernelForm):
         self._log_norm = log_factorial(model.n - model.dim)
         # the normalizer is not available in closed form; fix it so the
         # full-support hypercube mass is exactly one
-        self.log_k = SignedLog.one() / self._full_mass()
-
-    def _full_mass(self) -> SignedLog:
-        mat = [
-            [self.tilted_segment(i, j, 0.0, _INF, IDENTITY_TILT) for j in range(1, self.m + 1)]
-            for i in range(1, self.m + 1)
-        ]
-        return det_signed_log(mat)
+        self.log_k = SignedLog.one() / _det_from_arrays(*self.slice((0.0, _INF, IDENTITY_TILT)))
 
     def phi(self, i: int, x: float) -> SignedLog:
         return SignedLog.from_log(_log_pow(x, self.model.dim - i))
@@ -709,25 +717,23 @@ class _NoncentralKernel(KernelForm):
     def xi(self, x: float) -> SignedLog:
         return SignedLog.from_log(_log_pow(x, self.model.n - self.model.dim) - x)
 
+    def _entry(self, i: int, j: int) -> tuple:
+        return 1, self.model.n + self.model.dim - i - j, 1.0
+
     def point(self, i: int, j: int, x: float) -> SignedLog:
-        m, n = self.model.dim, self.model.n
-        if j <= self.model.rank:
-            series = hyp0f1(self._b0, self.model.mu[j - 1] * x)
-            return SignedLog.from_log(
-                _log_pow(x, n - i) - x + series.logmag - self._log_norm
-            )
-        return SignedLog.from_log(_log_pow(x, n + m - i - j) - x)
+        if j > self.model.rank:
+            return super().point(i, j, x)
+        series = hyp0f1(self._b0, self.model.mu[j - 1] * x)
+        return SignedLog.from_log(
+            _log_pow(x, self.model.n - i) - x + series.logmag - self._log_norm
+        )
 
     def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
+        if j > self.model.rank or tilt.fn is not None:
+            return super().tilted_segment(i, j, a, b, tilt)
         self._check_rate(tilt)
-        m, n = self.model.dim, self.model.n
-        if j > self.model.rank and tilt.fn is None:
-            q = n + m - i - j + tilt.power
-            return _gamma_rate_segment(q, 1.0 - tilt.rate, max(a, 0.0), b)
-        if tilt.fn is not None:
-            return self._quad_tilted(i, j, a, b, tilt)
         mu = self.model.mu[j - 1]
-        q = n - i + tilt.power
+        q = self.model.n - i + tilt.power
         rate = 1.0 - tilt.rate
         b0, log_norm = self._b0, self._log_norm
 
@@ -864,7 +870,7 @@ def parse_spec(text: str) -> EnsembleModel:
         phi = _num_list(kv.pop("phi"))
         if "mult" not in kv:
             raise ValueError("missing required key 'mult'")
-        mult = tuple(int(v) for v in _num_list(kv.pop("mult")))
+        mult = _num_list(kv.pop("mult"))
         model = CorrelatedWishart(p=p, n=n, phi=phi, mult=mult)
     elif name == "spiked-wishart":
         model = SpikedWishart(
@@ -889,7 +895,9 @@ def parse_spec(text: str) -> EnsembleModel:
 
 
 def _fmt(v: float) -> str:
-    return format(v, "g")
+    # shortest digits that parse back to the same float; whole numbers bare
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def spec_string(model: EnsembleModel) -> str:

@@ -128,7 +128,7 @@ def upper_incomplete_gamma(s: float, x: float) -> SignedLog:
     _check_gamma_args(s, x)
     if x == 0.0:
         return gamma_whole(s)
-    if _is_int(s) and s <= 400:
+    if _is_int(s):
         return _upper_integer(int(s), x)
     if _is_int(2 * s):
         return _upper_half_integer(s, x)

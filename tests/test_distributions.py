@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad, tplquad
+from scipy.special import gammainc
 
 from eigendist.distributions import (
     CurveGrid,
@@ -202,6 +203,13 @@ def test_prob_against_wedge_quadrature():
 def test_prob_total_mass():
     assert prob_all_in(M22, 0.0, math.inf) == pytest.approx(1.0, rel=1e-12)
     assert prob_all_in(GUE(3), -1e6, 1e6) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_prob_single_eigenvalue_large_shape():
+    # one eigenvalue with weight x^400 e^-x: a regularized gamma difference
+    got = prob_all_in(UncorrelatedWishart(1, 401), 380.0, 420.0)
+    want = gammainc(401, 420.0) - gammainc(401, 380.0)
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_prob_monotone_in_upper_limit():

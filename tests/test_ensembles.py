@@ -57,7 +57,7 @@ def test_beta_constant_m1_is_beta_function():
     assert kf.log_k.to_float() == pytest.approx(want, rel=1e-14)
 
 
-# -- segment rules vs adaptive quadrature ---------------------------------------
+# -- entry and segment rules ------------------------------------------------------
 
 MODELS = [
     UncorrelatedWishart(3, 5),
@@ -70,6 +70,28 @@ MODELS = [
 ]
 
 
+def _abscissae(support):
+    lo, hi = support
+    if lo == -math.inf:
+        return (-1.7, 0.4, 2.2)
+    if hi == 1.0:
+        return (0.15, 0.5, 0.85)
+    return (0.3, 2.0, 7.5)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: spec_string(m))
+def test_point_rule_matches_row_functions(model):
+    # entry (i, j) is phi_i * xi * psi_j, with bare xi on the rows past m
+    kernel = kernel_form(model)
+    for x in _abscissae(kernel.support):
+        for i in range(1, kernel.n + 1):
+            row = kernel.phi(i, x) * kernel.xi(x) if i <= kernel.m else kernel.xi(x)
+            for j in range(1, kernel.n + 1):
+                got, want = kernel.point(i, j, x), row * kernel.psi(j, x)
+                assert got.sign == want.sign, (i, j, x)
+                assert got.logmag == pytest.approx(want.logmag, rel=1e-14), (i, j, x)
+
+
 def _random_bounds(rng, support):
     lo, hi = support
     left = lo if lo > -math.inf else -6.0
@@ -80,7 +102,6 @@ def _random_bounds(rng, support):
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: spec_string(m))
 def test_segment_rules_agree_with_quadrature(model):
-    table = kernel_form(model)
     kernel = kernel_form(model)
     rng = np.random.default_rng(abs(hash(model)) % 2**32)
     checks = 0
@@ -88,9 +109,9 @@ def test_segment_rules_agree_with_quadrature(model):
         i = int(rng.integers(1, kernel.n + 1))
         j = int(rng.integers(1, kernel.n + 1))
         a, b = _random_bounds(rng, kernel.support)
-        got = table.segment(i, j, a, b).to_float()
+        got = kernel.segment(i, j, a, b).to_float()
         want, err = quad(
-            lambda x: table.point(i, j, x).to_float(), a, b, epsabs=1e-13, epsrel=1e-11
+            lambda x: kernel.point(i, j, x).to_float(), a, b, epsabs=1e-13, epsrel=1e-11
         )
         assert got == pytest.approx(want, rel=1e-9, abs=1e-13), (i, j, a, b)
         checks += 1
@@ -102,15 +123,14 @@ def test_segment_rules_agree_with_quadrature(model):
     ids=lambda m: spec_string(m),
 )
 def test_unbounded_segments_agree_with_quadrature(model):
-    table = kernel_form(model)
     kernel = kernel_form(model)
     for i, j, a in [(1, 1, 0.5), (2, 1, 2.0), (2, 2, 1.0)]:
-        got = table.segment(i, j, a, math.inf).to_float()
-        want, _ = quad(lambda x: table.point(i, j, x).to_float(), a, np.inf)
+        got = kernel.segment(i, j, a, math.inf).to_float()
+        want, _ = quad(lambda x: kernel.point(i, j, x).to_float(), a, np.inf)
         assert got == pytest.approx(want, rel=1e-9)
     if kernel.support[0] == -math.inf:
-        got = table.segment(1, 2, -math.inf, -0.3).to_float()
-        want, _ = quad(lambda x: table.point(1, 2, x).to_float(), -np.inf, -0.3)
+        got = kernel.segment(1, 2, -math.inf, -0.3).to_float()
+        want, _ = quad(lambda x: kernel.point(1, 2, x).to_float(), -np.inf, -0.3)
         assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -283,6 +303,8 @@ def test_parse_spec_examples():
 def test_parse_spec_errors():
     with pytest.raises(InvalidModelError, match="sum 5 != n=6"):
         parse_spec("correlated-wishart p=4 n=6 phi=2.0,1.0 mult=2,3")
+    with pytest.raises(InvalidModelError, match="multiplicities must be integers"):
+        parse_spec("correlated-wishart p=2 n=5 phi=2,1 mult=2.9,3")
     with pytest.raises(InvalidModelError, match="sigma1 > sigma2"):
         parse_spec("spiked-wishart M=4 n=5 sigma1=1 sigma2=1")
     with pytest.raises(ValueError, match="unknown ensemble"):
@@ -294,5 +316,5 @@ def test_parse_spec_errors():
 
 
 def test_spec_string_round_trips():
-    for model in MODELS:
+    for model in MODELS + [SpikedWishart(4, 5, 10.123456789, 1.0)]:
         assert parse_spec(spec_string(model)) == model

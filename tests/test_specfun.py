@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc, gammaln
 
 from eigendist.specfun import (
     falling_factorial,
@@ -60,6 +61,15 @@ def test_upper_gamma_deep_tail_no_underflow():
     # Gamma(3, x) = e^-x (x^2 + 2x + 2)
     expected = -800.0 + math.log(800.0**2 + 2 * 800.0 + 2)
     assert v.logmag == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [401.0, 600.0])
+def test_upper_gamma_large_integer_shape(s):
+    # every integer shape takes the finite sum, however large
+    for x in (0.5 * s, s - 20.0, s + 20.0, 1.5 * s):
+        got = upper_incomplete_gamma(s, x)
+        assert got.sign == 1
+        assert got.logmag == pytest.approx(gammaln(s) + math.log(gammaincc(s, x)), rel=1e-12)
 
 
 def test_half_integer_seed():
