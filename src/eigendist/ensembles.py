@@ -15,9 +15,14 @@ The uncorrelated, spiked and correlated Wishart kernels, and the polynomial
 columns of the noncentral one, share one entry rule: each declares in
 ``_entry(i, j)`` a triple (sign, power, scale) for the weighted product
 ``sign * x^power * e^(-x/scale)``, and ``_GammaKernel`` turns it into point
-values and incomplete-gamma segment integrals.  GUE (Gaussian weight) and
-Beta (binomial sums) keep their own rules; the noncentral series columns
-carry a confluent series factor and fall back to adaptive quadrature.
+values and incomplete-gamma segment integrals, one entry at a time
+(``point``, ``tilted_segment``) or a whole slice at once (``slice``).  A
+segment slice is gathered from one ``incomplete_gamma_table`` array per
+distinct scale and endpoint.  GUE (Gaussian weight) keeps its own rule but
+fills its slices from the same tables; the noncentral series columns carry
+a confluent series factor, and their segment entries are positive series
+over the same tables, without quadrature.  Beta (binomial sums) and
+callable tilts fill slices entry by entry.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from .errors import ConditioningWarning, InvalidModelError
 from .pseudodet import _det_from_arrays, det_signed_log
@@ -37,6 +43,7 @@ from .signedlog import SignedLog
 from .specfun import (
     falling_factorial,
     hyp0f1,
+    incomplete_gamma_table,
     log_factorial,
     two_limit_gamma,
     upper_incomplete_gamma,
@@ -287,6 +294,27 @@ def _gauss_pos_segment(q: int, a: float, b: float) -> SignedLog:
     return core.scaled(0.5)
 
 
+def _gauss_family(s0: float, idx: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of the integrals of ``x^q e^(-x^2)`` over (a, b) for the
+    powers ``q = 2 (s0 + idx) - 1``: even powers for s0 = 1/2, and for s0 = 1
+    odd ones, which flip sign on the negative half-axis."""
+    odd = s0 == 1.0
+    if a >= 0.0:
+        signs, logs = _gamma_segments(s0, idx, a * a, b * b)
+    elif b <= 0.0:
+        signs, logs = _gamma_segments(s0, idx, b * b, a * a)
+        if odd:
+            signs = -signs
+    else:
+        right = _gamma_table(s0, idx, b * b)[1]
+        left = _gamma_table(s0, idx, a * a)[1]
+        if odd:
+            signs, logs = _log_diff(right, left)
+        else:
+            signs, logs = np.ones(idx.shape), np.logaddexp(right, left)
+    return signs, logs + math.log(0.5)
+
+
 def _gauss_segment(q: int, a: float, b: float) -> SignedLog:
     """Integral of ``x^q e^(-x^2)`` over (a, b); odd powers flip sign on the
     negative half-axis."""
@@ -327,34 +355,51 @@ def _beta_power_segment(p: int, q: int, a: float, b: float) -> SignedLog:
     return _beta_power_segment(p, q, a, 0.5) + _beta_power_segment(p, q, 0.5, b)
 
 
-def _quad_log_scaled(log_f: Callable[[float], float], a: float, b: float) -> SignedLog:
-    """Adaptive quadrature of a positive integrand given by its log.
-
-    The integrand is rescaled by its coarse-grid maximum so the tails of
-    steeply peaked products never underflow inside the quadrature.
-    """
-    if b == _INF:
-        probe_hi = max(2.0 * a + 10.0, 50.0)
-    else:
-        probe_hi = b
-    probe = np.linspace(a, probe_hi, 33)
-    peak = max((log_f(float(x)) for x in probe), default=-_INF)
-    if peak == -_INF:
-        peak = 0.0
-
-    def f(x: float) -> float:
-        lv = log_f(x)
-        return math.exp(lv - peak) if lv > -_INF else 0.0
-
-    val, _ = quad(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)
-    if val <= 0.0:
-        return SignedLog.zero()
-    return SignedLog.from_log(peak + math.log(val))
-
-
 def _quad_plain(f: Callable[[float], float], a: float, b: float) -> SignedLog:
     val, _ = quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
     return SignedLog.of(val)
+
+
+# ---------------------------------------------------------------------------
+# array helpers: whole slices in signed-log form
+# ---------------------------------------------------------------------------
+
+
+def _signed(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slice arrays with the signed-log convention: sign 0 exactly at -inf."""
+    return np.where(logs == -_INF, 0.0, signs), logs
+
+
+def _log_diff(l1: np.ndarray, l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of ``e^l1 - e^l2``, elementwise."""
+    hi = np.maximum(l1, l2)
+    # equal logs give log(0) = -inf; both -inf gives NaN, replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = hi + np.log(-np.expm1(np.minimum(l1, l2) - hi))
+    logs = np.where(hi == -_INF, -_INF, logs)
+    return _signed(np.where(l1 > l2, 1.0, -1.0), logs)
+
+
+def _gamma_table(s0: float, idx: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Logs of ``Gamma(s, y)`` and ``gamma(s, y)`` at the shapes ``s = s0 + idx``
+    of an integer index array, from one table of the family."""
+    if idx.min() < 0:
+        raise ValueError(f"gamma shape must be positive, got {s0 + idx.min()}")
+    upper, lower = incomplete_gamma_table(s0, int(idx.max()) + 1, y)
+    return upper[idx], lower[idx]
+
+
+def _gamma_segments(
+    s0: float, idx: np.ndarray, ya: float, yb: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of the integrals of ``t^(s-1) e^(-t)`` over (ya, yb) at
+    the shapes ``s = s0 + idx``: the lower functions' difference where
+    ``yb < s``, the upper functions' difference elsewhere, so that two
+    nearly equal values are never subtracted."""
+    upper_a, lower_a = _gamma_table(s0, idx, ya)
+    upper_b, lower_b = _gamma_table(s0, idx, yb)
+    below = s0 + idx > yb
+    return _log_diff(np.where(below, lower_b, upper_a), np.where(below, lower_a, upper_b))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +481,12 @@ class KernelForm:
 
     def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
         """Signs and logs of the n x n slice named by a point abscissa or a
-        segment key ``(a, b, tilt)``."""
+        segment key ``(a, b, tilt)``.
+
+        This fills the slice entry by entry from ``point`` and
+        ``tilted_segment``; kernels with closed-form tables override it with
+        array rules and fall back here for callable tilts.
+        """
         if isinstance(key, tuple):
             a, b, tilt = key
             entry = lambda i, j: self.tilted_segment(i, j, a, b, tilt)
@@ -486,6 +536,11 @@ class _GammaKernel(KernelForm):
     on (0, inf); subclasses declare that triple in ``_entry``, and segments
     are incomplete gamma functions.
 
+    ``point`` and ``tilted_segment`` evaluate one entry; ``slice`` evaluates
+    the same rules on the cached arrays of triples.  A segment slice needs
+    one incomplete-gamma table per distinct scale and endpoint, gathered by
+    power (by i+j for a Hankel kernel).
+
     The decay is a scale, not a rate, so the spiked kernel divides by its
     sigmas exactly as given: its permutation sums cancel strongly enough to
     turn a one-ulp change in ``x/sigma`` into 9e-9 relative in a density.
@@ -493,6 +548,13 @@ class _GammaKernel(KernelForm):
 
     def _entry(self, i: int, j: int) -> tuple:
         raise NotImplementedError
+
+    @functools.cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sign, power and scale arrays of ``_entry`` over the n x n slice."""
+        rng = range(1, self.n + 1)
+        table = np.array([[self._entry(i, j) for j in rng] for i in rng], dtype=float)
+        return table[..., 0], table[..., 1].astype(int), table[..., 2]
 
     def point(self, i: int, j: int, x: float) -> SignedLog:
         sign, power, scale = self._entry(i, j)
@@ -505,6 +567,29 @@ class _GammaKernel(KernelForm):
         sign, power, scale = self._entry(i, j)
         val = _gamma_rate_segment(power + tilt.power, 1.0 / scale - tilt.rate, max(a, 0.0), b)
         return val if sign > 0 else -val
+
+    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
+        sign, power, scale = self._entries
+        if not isinstance(key, tuple):
+            x = key
+            # _log_pow's rule at the origin: 0^0 = 1
+            lp = np.where(power == 0, 0.0, -_INF) if x == 0.0 else power * math.log(x)
+            return _signed(sign, lp - x / scale)
+        a, b, tilt = key
+        if tilt.fn is not None:
+            return super().slice(key)
+        self._check_rate(tilt)
+        a = max(a, 0.0)
+        signs = np.zeros((self.n, self.n))
+        logs = np.full((self.n, self.n), -_INF)
+        for sc in np.unique(scale):
+            cols = scale == sc
+            rate = 1.0 / sc - tilt.rate
+            q = power[cols] + tilt.power
+            ss, sl = _gamma_segments(1.0, q, a * rate, b * rate)
+            signs[cols] = sign[cols] * ss
+            logs[cols] = sl - (q + 1.0) * math.log(rate)
+        return _signed(signs, logs)
 
 
 class _UncorrelatedKernel(_MonomialSquareKernel, _GammaKernel):
@@ -552,6 +637,24 @@ class _GUEKernel(_MonomialSquareKernel):
         if tilt.fn is not None or tilt.rate != 0.0:
             return self._quad_tilted(i, j, a, b, tilt)
         return _gauss_segment(i + j - 2 + tilt.power, a, b)
+
+    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
+        q = np.add.outer(np.arange(self.n), np.arange(self.n))
+        if not isinstance(key, tuple):
+            x = key
+            lp = np.where(q == 0, 0.0, -_INF) if x == 0.0 else q * math.log(abs(x))
+            return _signed(np.where((x < 0) & (q % 2 == 1), -1.0, 1.0), lp - x * x)
+        a, b, tilt = key
+        if tilt.fn is not None or tilt.rate != 0.0:
+            return super().slice(key)
+        q = q + tilt.power
+        # u = x^2 maps x^q e^(-x^2) to a gamma weight of shape (q+1)/2: the even
+        # powers form the half-integer family, the odd ones the integer family,
+        # and either way the shape's index in its family is q // 2
+        even = _gauss_family(0.5, q // 2, a, b)
+        odd = _gauss_family(1.0, q // 2, a, b)
+        odd_q = q % 2 == 1
+        return np.where(odd_q, odd[0], even[0]), np.where(odd_q, odd[1], even[1])
 
 
 class _BetaKernel(_MonomialSquareKernel):
@@ -691,8 +794,13 @@ class _CorrelatedKernel(_GammaKernel):
 
 class _NoncentralKernel(_GammaKernel):
     """Noncentral uncorrelated kernel; the first rank columns carry the
-    confluent series and are integrated by adaptive quadrature, the other
-    columns follow the gamma rule."""
+    confluent series, the other columns follow the gamma rule.
+
+    Over a segment, a series column's entry is the positive series
+    ``sum_k mu^k / ((b0)_k k!) * I(q+k) / (n-m)!``, where ``I(p)`` is the
+    segment integral of ``x^p e^(-rate x)``, read from one incomplete-gamma
+    table; the series is summed until its terms fall below 4e-18 of the sum.
+    """
 
     def __init__(self, model: NoncentralWishart):
         self.model = model
@@ -732,17 +840,39 @@ class _NoncentralKernel(_GammaKernel):
         if j > self.model.rank or tilt.fn is not None:
             return super().tilted_segment(i, j, a, b, tilt)
         self._check_rate(tilt)
-        mu = self.model.mu[j - 1]
-        q = self.model.n - i + tilt.power
+        return SignedLog.from_log(self._series_segment(a, b, tilt)[i - 1, j - 1])
+
+    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
+        signs, logs = super().slice(key)
+        if isinstance(key, tuple) and key[2].fn is not None:
+            return signs, logs
+        r = self.model.rank
+        series = self._series_segment(*key) if isinstance(key, tuple) else self._series_point(key)
+        signs[:, :r], logs[:, :r] = _signed(1.0, series)
+        return signs, logs
+
+    def _series_point(self, x: float) -> np.ndarray:
+        powers = self.model.n - np.arange(1, self.n + 1)
+        lp = np.where(powers == 0, 0.0, -_INF) if x == 0.0 else powers * math.log(x)
+        series = np.array([hyp0f1(self._b0, mu * x).logmag for mu in self.model.mu])
+        return lp[:, None] - x + series[None, :] - self._log_norm
+
+    def _series_segment(self, a: float, b: float, tilt: Tilt) -> np.ndarray:
         rate = 1.0 - tilt.rate
-        b0, log_norm = self._b0, self._log_norm
-
-        def log_f(x: float) -> float:
-            if x <= 0.0:
-                return _log_pow(x, q) if q == 0 else -_INF
-            return q * math.log(x) - rate * x + hyp0f1(b0, mu * x).logmag - log_norm
-
-        return _quad_log_scaled(log_f, max(a, 0.0), b)
+        q = self.model.n - np.arange(1, self.n + 1) + tilt.power
+        log_mu = np.log(self.model.mu)[:, None, None]
+        terms = 32
+        while terms <= 4096:
+            k = np.arange(terms)
+            log_coef = k * log_mu - (gammaln(self._b0 + k) - gammaln(self._b0)) - gammaln(k + 1.0)
+            p = q[:, None] + k
+            _, log_int = _gamma_segments(1.0, p, max(a, 0.0) * rate, b * rate)
+            t = log_coef + (log_int - (p + 1.0) * math.log(rate))
+            total = np.logaddexp.reduce(t, axis=-1)
+            if np.all((t[..., -1] <= total - 40.0) & (t[..., -1] <= t[..., -2])):
+                return (total - self._log_norm).T
+            terms *= 2
+        raise ArithmeticError(f"noncentral series stalled on ({a}, {b}) with {tilt}")
 
 
 _KERNELS = {

@@ -2,9 +2,13 @@
 
 The kernel integrals reduce to upper/lower incomplete gamma functions with
 integer or half-integer shape, their two-limit difference, the confluent
-limit series 0F1, and falling factorials.  Everything here is scalar and
-pure; the split between series, finite recurrence, and continued fraction
-follows the usual cancellation-avoidance boundary at ``x = s + 1``.
+limit series 0F1, and falling factorials.  All of it is pure.  The scalar
+functions split between series, finite recurrence, and continued fraction
+at the usual cancellation-avoidance boundary ``x = s + 1``; two-limit
+differences below the shape take the lower series, so two nearly equal
+upper values are never subtracted.  ``incomplete_gamma_table`` returns both
+functions for every shape of one integer or half-integer family at once, as
+numpy arrays, which is what the kernel slices are filled from.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx
+from scipy.special import erfcx, gammaln
 
 from .signedlog import SignedLog, signed_logsumexp
 
@@ -22,6 +26,7 @@ __all__ = [
     "upper_incomplete_gamma",
     "lower_incomplete_gamma",
     "two_limit_gamma",
+    "incomplete_gamma_table",
     "hyp0f1",
     "falling_factorial",
     "log_factorial",
@@ -153,7 +158,48 @@ def two_limit_gamma(s: float, x1: float, x2: float) -> SignedLog:
     _check_gamma_args(s, x2)
     if x1 == x2:
         return SignedLog.zero()
+    if max(x1, x2) < s:
+        # both upper values are close to Gamma(s) here; their difference cancels
+        return _lower_series(s, x2) - _lower_series(s, x1)
     return upper_incomplete_gamma(s, x1) - upper_incomplete_gamma(s, x2)
+
+
+def incomplete_gamma_table(s0: float, count: int, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Logs of ``Gamma(s, y)`` and ``gamma(s, y)`` for ``s = s0, s0+1, ...,
+    s0+count-1``, where ``s0`` is 1 (integer shapes) or 1/2 (half-integer).
+
+    Both come from the positive series terms ``y^(s0+k) e^(-y) / Gamma(s0+k+1)``.
+    The regularized upper function of shape ``s0+n`` is its seed ``Q(s0, y)``
+    (``e^(-y)``, or ``erfc(sqrt(y))`` through ``erfcx``) plus the first n
+    terms, a forward cumulative sum.  The regularized lower function is the
+    tail of the terms from k = n, a backward cumulative sum, where ``y < s``;
+    where ``y >= s``, ``Q`` is at most about one half and ``1 - Q`` loses
+    nothing.
+    """
+    if s0 not in (0.5, 1.0):
+        raise ValueError(f"shape family must start at 1/2 or 1, got {s0}")
+    if count < 1:
+        raise ValueError(f"need at least one shape, got {count}")
+    if not y >= 0.0:
+        raise ValueError(f"gamma limit must be nonnegative, got {y}")
+    shapes = s0 + np.arange(count)
+    whole = gammaln(shapes)
+    if y == 0.0:
+        return whole, np.full(count, -math.inf)
+    if y == math.inf:
+        return np.full(count, -math.inf), whole
+    below = shapes > y
+    # past the largest shape the terms fall at least like exp(-j^2 / 2y)
+    extra = int(10.0 * math.sqrt(y)) + 40 if below[-1] else 0
+    k = np.arange(count - 1 + extra)
+    terms = (s0 + k) * math.log(y) - y - gammaln(s0 + k + 1.0)
+    seed = -y if s0 == 1.0 else math.log(erfcx(math.sqrt(y))) - y
+    log_q = np.logaddexp.accumulate(np.concatenate(([seed], terms[: count - 1])))
+    log_p = np.empty(count)
+    log_p[~below] = np.log(-np.expm1(log_q[~below]))
+    if extra:
+        log_p[below] = np.logaddexp.accumulate(terms[::-1])[::-1][:count][below]
+    return whole + log_q, whole + log_p
 
 
 def hyp0f1(b: float, z: float) -> SignedLog:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaln
 
 from eigendist.ensembles import (
     Beta,
@@ -21,6 +22,7 @@ from eigendist.ensembles import (
     parse_spec,
     spec_string,
 )
+from eigendist.ensembles import _gauss_segment
 from eigendist.errors import ConditioningWarning, InvalidModelError
 
 
@@ -90,6 +92,93 @@ def test_point_rule_matches_row_functions(model):
                 got, want = kernel.point(i, j, x), row * kernel.psi(j, x)
                 assert got.sign == want.sign, (i, j, x)
                 assert got.logmag == pytest.approx(want.logmag, rel=1e-14), (i, j, x)
+
+
+SLICE_MODELS = MODELS + [
+    UncorrelatedWishart(8, 10),
+    SpikedWishart(6, 10, 10.0, 1.0),
+    CorrelatedWishart(4, 6, (2.0, 1.0), (2, 4)),
+    NoncentralWishart(3, 4, (3.0, 0.5)),
+]
+
+NARROW = 1e-4
+
+
+def _slice_keys(kernel):
+    lo, hi = kernel.support
+    bulk = _abscissae(kernel.support)
+    points = sorted({0.0, *(v for v in (lo, hi) if math.isfinite(v)), *bulk})
+    segments = [
+        (lo, hi),
+        (bulk[0], bulk[2]),
+        (bulk[1], hi),
+        (lo, bulk[1]),
+        (0.0, 1e-3),
+        (0.0, 0.05),
+        *((x, x + NARROW) for x in bulk),
+    ]
+    rate = 0.25 * kernel.max_exp_rate if math.isfinite(kernel.max_exp_rate) else 0.5
+    tilts = [Tilt(power=2), Tilt(rate=rate), Tilt(rate=-0.3)]
+    return points + [(a, b, Tilt()) for a, b in segments] + [(lo, hi, t) for t in tilts]
+
+
+@pytest.mark.parametrize("model", SLICE_MODELS, ids=lambda m: spec_string(m))
+def test_slices_match_entry_rules(model):
+    kernel = kernel_form(model)
+    for key in _slice_keys(kernel):
+        rel = 1e-12
+        if isinstance(key, tuple) and key[1] - key[0] == pytest.approx(NARROW):
+            # entries over (x, x + w) are differences of two incomplete gamma
+            # values that agree to about log10(x / w) digits, so a few ulp of
+            # rounding in either route moves an entry by about 1e-16 * x / w
+            # relative, which is that much in its log
+            rel = max(rel, 1e-15 * abs(key[0]) / NARROW)
+        signs, logs = kernel.slice(key)
+        for i in range(1, kernel.n + 1):
+            for j in range(1, kernel.n + 1):
+                if isinstance(key, tuple):
+                    want = kernel.tilted_segment(i, j, *key)
+                else:
+                    want = kernel.point(i, j, key)
+                assert signs[i - 1, j - 1] == want.sign, (key, i, j)
+                got = logs[i - 1, j - 1]
+                assert got == pytest.approx(want.logmag, rel=rel, abs=rel), (key, i, j)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [NoncentralWishart(3, 4, (5.0, 0.5)), NoncentralWishart(2, 3, (2.0,))],
+    ids=lambda m: spec_string(m),
+)
+def test_noncentral_series_columns_match_quadrature(model):
+    kernel = kernel_form(model)
+    for tilt in [Tilt(), Tilt(power=2), Tilt(rate=0.25), Tilt(rate=-0.3)]:
+        for a, b in [(0.0, math.inf), (3.0, 7.0), (20.0, 20.5), (0.0, 0.01)]:
+            signs, logs = kernel.slice((a, b, tilt))
+            for i in range(1, kernel.n + 1):
+                for j in range(1, model.rank + 1):
+
+                    def f(x):
+                        # in log form: x^2 e^(rate x) alone overflows far out
+                        v = kernel.point(i, j, x)
+                        log_tilt = tilt.power * math.log(x) if tilt.power else 0.0
+                        return math.exp(v.logmag + log_tilt + tilt.rate * x) if v.sign else 0.0
+
+                    want, _ = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+                    got = signs[i - 1, j - 1] * math.exp(logs[i - 1, j - 1])
+                    assert got == pytest.approx(want, rel=1e-10), (tilt, a, b, i, j)
+    assert normalization_check(model) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gauss_segment_near_the_origin():
+    # x^10 e^(-x^2) integrates to gamma(11/2, u) / 2 over (0, sqrt(u))
+    def half_lower(u):
+        return 0.5 * math.exp(gammaln(5.5)) * gammainc(5.5, u)
+
+    got = _gauss_segment(10, 0.0, 0.1).to_float()
+    assert got == pytest.approx(half_lower(0.01), rel=1e-12, abs=0.0)
+    got = _gauss_segment(10, -0.2, 0.1).to_float()
+    assert got == pytest.approx(half_lower(0.04) + half_lower(0.01), rel=1e-12, abs=0.0)
 
 
 def _random_bounds(rng, support):

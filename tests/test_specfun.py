@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 from eigendist.specfun import (
     falling_factorial,
     gamma_whole,
     hyp0f1,
+    incomplete_gamma_table,
     lower_incomplete_gamma,
     two_limit_gamma,
     upper_incomplete_gamma,
@@ -111,6 +112,63 @@ def test_two_limit_sign_flips():
     rev = two_limit_gamma(2.0, 3.0, 1.0)
     assert fwd.sign == 1 and rev.sign == -1
     assert fwd.logmag == pytest.approx(rev.logmag)
+
+
+def lower_gamma_ref(s, x):
+    return math.exp(gammaln(s)) * gammainc(s, x)
+
+
+@pytest.mark.parametrize(
+    "s,x1,x2",
+    [(6.0, 0.0, 0.001), (6.0, 0.0, 0.05), (6.0, 0.001, 0.002), (12.0, 0.5, 3.0), (5.5, 0.0, 0.01)],
+)
+def test_two_limit_below_the_shape(s, x1, x2):
+    # both upper values are close to Gamma(s) here, so their difference cancels
+    got = two_limit_gamma(s, x1, x2).to_float()
+    want = lower_gamma_ref(s, x2) - lower_gamma_ref(s, x1)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# -- shape-family tables -----------------------------------------------------
+
+
+@pytest.mark.parametrize("s0", [0.5, 1.0])
+@pytest.mark.parametrize("y", [1e-300, 1e-3, 0.4, 3.0, 19.5, 40.0, 120.0])
+def test_gamma_table_vs_scipy(s0, y):
+    shapes = s0 + np.arange(48)
+    upper, lower = incomplete_gamma_table(s0, 48, y)
+    for got, frac in ((upper, gammaincc(shapes, y)), (lower, gammainc(shapes, y))):
+        ok = frac > 0.0  # the references underflow where the tables do not
+        want = gammaln(shapes[ok]) + np.log(frac[ok])
+        np.testing.assert_allclose(got[ok], want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("s0", [0.5, 1.0])
+def test_gamma_table_edges(s0):
+    shapes = s0 + np.arange(5)
+    whole = gammaln(shapes)
+    upper, lower = incomplete_gamma_table(s0, 5, 0.0)
+    assert np.array_equal(upper, whole) and np.all(lower == -np.inf)
+    upper, lower = incomplete_gamma_table(s0, 5, math.inf)
+    assert np.all(upper == -np.inf) and np.array_equal(lower, whole)
+    # far below every shape the lower values follow y^s / s
+    _, lower = incomplete_gamma_table(s0, 5, 1e-300)
+    np.testing.assert_allclose(lower, shapes * math.log(1e-300) - np.log(shapes), rtol=1e-14)
+    # far above every shape the upper values match the scalar finite sum / climb
+    upper, _ = incomplete_gamma_table(s0, 5, 800.0)
+    want = [upper_incomplete_gamma(s, 800.0).logmag for s in shapes]
+    np.testing.assert_allclose(upper, want, rtol=1e-14)
+
+
+def test_gamma_table_rejects_bad_args():
+    with pytest.raises(ValueError):
+        incomplete_gamma_table(1.5, 3, 1.0)
+    with pytest.raises(ValueError):
+        incomplete_gamma_table(1.0, 0, 1.0)
+    with pytest.raises(ValueError):
+        incomplete_gamma_table(1.0, 3, -1.0)
+    with pytest.raises(ValueError):
+        incomplete_gamma_table(1.0, 3, math.nan)
 
 
 # -- stated identity grids ---------------------------------------------------
