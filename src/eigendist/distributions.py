@@ -17,11 +17,20 @@ the segment between the adjacent fixed values (``SegmentLayout``).
 Unordered densities use point keys followed by full-support segments, and
 unordered product expectations use one tilted full-support segment per
 eigenvalue.
+
+Ordered distribution functions need no tensor: with B and A the slices of
+the segments below and above x, and C the constant rows, ``K det[B + t*A;
+C]`` is the generating function of the number of eigenvalues above x (the
+same Cauchy-Binet argument as behind the operator), so ``P(lambda_ell <=
+x)`` sums its first ell coefficients (``_count_distribution``).
+Single-eigenvalue expectations integrate the tensor engine's density with
+adaptive quadrature, split at levels of the closed-form distribution
+function, so the total mass of a marginal stays a check of K that does not
+go through the counting polynomial.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,7 +48,14 @@ from .ensembles import (
     spec_string,
 )
 from .errors import CapabilityError, NumericError
-from .pseudodet import EvalStats, GroupedPermutationPlan, Tensor3, _det_from_arrays, pseudo_det_grouped
+from .pseudodet import (
+    EvalStats,
+    GroupedPermutationPlan,
+    Tensor3,
+    _batch_det,
+    _det_from_arrays,
+    pseudo_det_grouped,
+)
 from .signedlog import SignedLog
 from .specfun import log_factorial
 
@@ -87,6 +103,29 @@ def _check_capability(kernel: KernelForm) -> None:
         )
 
 
+def _check_abscissa(x: float) -> float:
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("abscissa is NaN")
+    return x
+
+
+def _check_rank(kernel: KernelForm, ell: int) -> None:
+    if not (1 <= ell <= kernel.m):
+        raise ValueError(f"eigenvalue rank {ell} outside 1..{kernel.m}")
+
+
+def _check_grid(grid: Sequence[float]) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 1:
+        raise ValueError("grid must be a nonempty 1-d sequence")
+    if np.isnan(grid).any():
+        raise ValueError("grid contains NaN")
+    if np.any(np.diff(grid) < 0):
+        raise ValueError("grid must be sorted ascending")
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # segment layouts
 # ---------------------------------------------------------------------------
@@ -120,6 +159,8 @@ class SegmentLayout:
             raise ValueError(f"fixed indices {idx} outside 1..{self.m}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"fixed indices must be strictly increasing: {idx}")
+        if any(math.isnan(v) for v in vals):
+            raise ValueError(f"abscissae must not be NaN: {vals}")
 
     @property
     def count(self) -> int:
@@ -170,13 +211,16 @@ def _assemble(kernel: KernelForm, keys: Sequence) -> tuple[Tensor3, GroupedPermu
         ms, ml = kernel.slice(key)
         signs[:, :, ks] = ms[:, :, None]
         logs[:, :, ks] = ml[:, :, None]
+    const_signs, const_logs = kernel.const_rows
     for k in range(m, n):
-        for j in range(n):
-            v = kernel.const(j + 1, k + 1)
-            signs[k:, j, k] = v.sign
-            logs[k:, j, k] = v.logmag
-    groups = [tuple(ks) for ks in positions.values()] + [(k,) for k in range(m, n)]
-    return Tensor3(signs, logs), GroupedPermutationPlan(n, tuple(groups))
+        signs[k:, :, k] = const_signs[k - m]
+        logs[k:, :, k] = const_logs[k - m]
+    groups = tuple(map(tuple, positions.values())) + tuple((k,) for k in range(m, n))
+    # one plan per grouping, so that it enumerates its representatives once
+    plan = kernel.memo.get(("plan", groups))
+    if plan is None:
+        plan = kernel.memo[("plan", groups)] = GroupedPermutationPlan(n, groups)
+    return Tensor3(signs, logs), plan
 
 
 def _unordered_value(kernel: KernelForm, keys: Sequence, stats: Optional[EvalStats] = None) -> float:
@@ -201,7 +245,8 @@ def joint_pdf_ordered(
     kernel = kernel_form(model)
     _check_capability(kernel)
     layout = SegmentLayout(kernel.m, tuple(indices), tuple(xs), kernel.support)
-    if not layout.ordering_holds():
+    # every weight vanishes at an infinite abscissa
+    if not layout.ordering_holds() or not all(map(math.isfinite, layout.fixed_values)):
         return 0.0
     fixed = dict(zip(layout.fixed_indices, layout.fixed_values))
     keys = [
@@ -218,9 +263,7 @@ def pdf_single(
     model: EnsembleModel, ell: int, x: float, stats: Optional[EvalStats] = None
 ) -> float:
     """Marginal density of the ell-th largest eigenvalue."""
-    kernel = kernel_form(model)
-    if not (1 <= ell <= kernel.m):
-        raise ValueError(f"eigenvalue rank {ell} outside 1..{kernel.m}")
+    _check_rank(kernel_form(model), ell)
     return joint_pdf_ordered(model, (ell,), (x,), stats)
 
 
@@ -255,11 +298,11 @@ def joint_pdf_unordered(
     m = kernel.m
     if not (1 <= count <= m):
         raise ValueError(f"subset size {count} outside 1..{m}")
-    xs = [float(v) for v in xs]
+    xs = [_check_abscissa(v) for v in xs]
     if len(xs) != count:
         raise ValueError(f"expected {count} abscissae, got {len(xs)}")
     lo, hi = kernel.support
-    if any(not (lo <= v <= hi) for v in xs):
+    if any(not (lo <= v <= hi) or math.isinf(v) for v in xs):
         return 0.0
     return _unordered_value(kernel, xs + [(lo, hi, IDENTITY_TILT)] * (m - count), stats)
 
@@ -300,45 +343,248 @@ def prob_all_in(
 
 
 # ---------------------------------------------------------------------------
-# quadrature over one marginal
+# counting polynomial: ordered distribution functions in closed form
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _pilot_edges(model: EnsembleModel, ell: int) -> tuple:
-    """Bulk edges of one marginal from a small pilot sample, used only to
-    place quadrature split points."""
-    from .montecarlo import sample
+# share of a circle's peak below which a coefficient reading is rounding noise
+_NOISE_SHARE = 1e-13
 
-    batch = sample(model, 10_000, seed=0x51107)
-    col = batch.eigenvalues[:, ell - 1]
-    qs = np.quantile(col, [0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0])
-    spread = max(qs[-1] - qs[0], 1e-3)
-    lo = qs[0] - 0.2 * spread
-    hi = qs[-1] + 0.35 * spread
+
+def _pencil_circles(
+    below: tuple, above: tuple, const: tuple, log_radii: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of ``det[B + t*A; C]`` from its values on circles.
+
+    ``below`` and ``above`` are the m x n signed-log blocks B and A, ``const``
+    the constant rows C.  For each log radius, the determinant is taken at
+    the m+1 points ``t = r * w^k`` (w the (m+1)-th root of unity) in one
+    batched call, and one FFT turns the values into ``coef[j] = c_j r^j /
+    scale`` exactly, because the degree is m.  The values are scaled so that
+    the largest one on each circle has modulus 1, so ``|coef[j]|`` is also
+    the share of the circle's peak that term j carries; ``log scale`` is
+    returned with the coefficients.
+    """
+    (bs, bl), (as_, al), (cs, cl) = below, above, const
+    m = bs.shape[0]
+    count = len(log_radii)
+    mags = np.concatenate(
+        [np.logaddexp(bl, al + log_radii[:, None, None]), np.broadcast_to(cl, (count,) + cl.shape)],
+        axis=1,
+    )
+    # pull the largest entry out of every row, then of every column
+    row = mags.max(axis=2)
+    row = np.where(np.isfinite(row), row, 0.0)
+    col = (mags - row[:, :, None]).max(axis=1)
+    col = np.where(np.isfinite(col), col, 0.0)
+    shift = row[:, :, None] + col[:, None, :]
+    with np.errstate(under="ignore"):
+        b = bs * np.exp(bl - shift[:, :m])
+        a = as_ * np.exp(al + log_radii[:, None, None] - shift[:, :m])
+        c = cs * np.exp(cl - shift[:, m:])
+    roots = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
+    top = b[:, None] + roots[None, :, None, None] * a[:, None]
+    rest = np.broadcast_to(c[:, None], (count, m + 1) + c.shape[1:])
+    sgn, logdet = np.linalg.slogdet(np.concatenate([top, rest], axis=2))
+    peak = logdet.max(axis=1)
+    values = sgn * np.exp(logdet - peak[:, None])
+    coef = np.fft.fft(values, axis=1) / (m + 1)
+    return coef.real, row.sum(axis=1) + col.sum(axis=1) + peak
+
+
+def _count_distribution(kernel: KernelForm, x: float) -> np.ndarray:
+    """``P(#{eigenvalues > x} = j)`` for j = 0..m, x inside the support.
+
+    By the generalized Cauchy-Binet identity behind the operator, with B and
+    A the kernel slices over the segments below and above x (their first m
+    rows) and C the constant rows, ``K * det[B + t*A; C]`` is the generating
+    function of the count.  Its end coefficients are determinants:
+    ``c_0 = K det[B; C]`` and ``c_m = K det[A; C]``, the interval
+    probabilities.  Each inner coefficient c_j is read from the Cauchy
+    integral on its own circle, of radius ``sqrt(c_(j-1) / c_(j+1))``, where
+    term j carries at least 1/(m+1) of the peak of a log-concave count
+    distribution, so it keeps its relative accuracy however small it is
+    (Bornemann, Found. Comput. Math. 11, 2011).  The first pass runs on the
+    unit circle; later passes take the radii from the readings so far, with
+    a reading trusted once its term carries 1e-6 of its circle's peak and
+    the others interpolated in log scale, and stop once every term carries
+    1/(2(m+1)) of its circle's peak, or after m+2 passes.  A coefficient
+    never read above the rounding floor of a circle is zero.
+    """
+    lo, hi = kernel.support
+    m = kernel.m
+    const = kernel.const_rows
+    below, above = (
+        (s[:m], l[:m]) for s, l in (kernel.slice((lo, x, IDENTITY_TILT)), kernel.slice((x, hi, IDENTITY_TILT)))
+    )
+    ends = [np.stack([np.concatenate([block[k], const[k]]) for block in (below, above)]) for k in (0, 1)]
+    end_signs, end_logs = _batch_det(*ends)
+
+    signs, logs, share = np.zeros(m + 1), np.full(m + 1, -_INF), np.zeros(m + 1)
+    signs[[0, m]], logs[[0, m]] = end_signs, end_logs
+    share[[0, m]] = 1.0
+    inner = np.arange(1, m)
+    log_radii = np.zeros(m - 1)
+    for _ in range(m + 2):
+        if share.min() >= 0.5 / (m + 1):
+            break
+        radii, which = np.unique(log_radii, return_inverse=True)
+        coef, scale = _pencil_circles(below, above, const, radii)
+        reading = coef[which, inner]
+        # below the rounding floor of a circle a reading is no reading
+        better = np.abs(reading) > np.maximum(share[1:m], _NOISE_SHARE)
+        with np.errstate(divide="ignore"):
+            log_c = np.log(np.abs(reading)) + scale[which] - inner * log_radii
+        logs[1:m] = np.where(better, log_c, logs[1:m])
+        signs[1:m] = np.where(better, np.sign(reading), signs[1:m])
+        share[1:m] = np.maximum(share[1:m], np.abs(reading))
+        trusted = np.flatnonzero((share >= 1e-6) & np.isfinite(logs))
+        if not len(trusted):
+            break
+        guess = np.interp(np.arange(m + 1), trusted, logs[trusted])
+        log_radii = (guess[:-2] - guess[2:]) / 2.0
+    with np.errstate(under="ignore"):
+        return kernel.log_k.sign * signs * np.exp(logs + kernel.log_k.logmag)
+
+
+def _rank_cdfs(kernel: KernelForm, x: float) -> np.ndarray:
+    """``P(lambda_ell <= x)`` for every rank ell = 1..m at one abscissa.
+
+    ``F_ell = P(count < ell)``.  Whichever of that sum and its complement
+    ``P(count >= ell)`` is smaller is summed from the count distribution, so
+    both tails keep the relative accuracy of the coefficients, a resolved
+    value lies in [0, 1] with no clipping, and the two sums meet in the
+    bulk, where a rounding step is far below the growth of F between grid
+    points.
+    """
+    lo, hi = kernel.support
+    if x <= lo:
+        return np.zeros(kernel.m)
+    if x >= hi:
+        return np.ones(kernel.m)
+    counts = _count_distribution(kernel, x)
+    below = np.cumsum(counts)[:-1]
+    above = np.cumsum(counts[::-1])[::-1][1:]
+    return np.where(below <= above, below, 1.0 - above)
+
+
+def _resolved_cdf(kernel: KernelForm, ell: int, x: float) -> float:
+    """``P(lambda_ell <= x)``, raising where a tail the kernel slices cannot
+    resolve reads outside [0, 1]."""
+    value = float(_rank_cdfs(kernel, x)[ell - 1])
+    if not 0.0 <= value <= 1.0:
+        raise NumericError(
+            f"P(lambda_{ell} <= {x}) reads {value}: the tail is below the "
+            f"resolution of the kernel slices"
+        )
+    return value
+
+
+def cdf_single(model: EnsembleModel, ell: int, x: float) -> float:
+    """Distribution function of the ell-th largest eigenvalue."""
     kernel = kernel_form(model)
-    lo = max(lo, kernel.support[0])
-    hi = min(hi, kernel.support[1])
-    return (lo, *[float(q) for q in qs[1:-1]], hi)
+    _check_capability(kernel)
+    _check_rank(kernel, ell)
+    return _resolved_cdf(kernel, ell, _check_abscissa(x))
 
 
-def _integrate_marginal(
-    model: EnsembleModel, ell: int, lo: float, hi: float, weight=None
-) -> float:
-    """Adaptive integral of ``weight(x) * pdf_single(ell, x)`` over (lo, hi)."""
+def cdf_curve(model: EnsembleModel, ell: int, grid: Sequence[float]) -> np.ndarray:
+    """Distribution function on an ascending grid, one closed-form
+    evaluation per point."""
     kernel = kernel_form(model)
-    lo = max(lo, kernel.support[0])
-    hi = min(hi, kernel.support[1])
-    if hi <= lo:
-        return 0.0
-    edges = _pilot_edges(model, ell)
+    _check_capability(kernel)
+    _check_rank(kernel, ell)
+    grid = _check_grid(grid)
+    return np.array([_resolved_cdf(kernel, ell, float(x)) for x in grid])
 
-    if weight is None:
-        f = lambda x: pdf_single(model, ell, x)
+
+# ---------------------------------------------------------------------------
+# quadrature over one marginal
+# ---------------------------------------------------------------------------
+
+# distribution levels of the quadrature cuts: the outer two mark the bulk
+# edges, the inner five become split points
+_CUT_LEVELS = (1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-6)
+_CUT_GRID = 20
+
+
+def _bulk_bracket(kernel: KernelForm) -> tuple:
+    """An interval holding every rank's bulk: P(lambda_m <= a) and
+    P(lambda_1 > b) are both at most the outer cut level.  Steps out from
+    the middle of the support, doubling the distance to an infinite edge and
+    quartering the distance to a finite one."""
+    lo, hi = kernel.support
+    tail = _CUT_LEVELS[0]
+    if math.isfinite(hi):
+        start = (lo + hi) / 2.0
     else:
-        f = lambda x: weight(x) * pdf_single(model, ell, x)
+        start = lo + 1.0 if math.isfinite(lo) else 0.0
+    edges = []
+    for edge, sign, done in (
+        (lo, -1.0, lambda f: f[-1] <= tail),
+        (hi, 1.0, lambda f: f[0] >= 1.0 - tail),
+    ):
+        x, width = start, 1.0
+        for _ in range(64):
+            if math.isfinite(edge):
+                x = edge + (x - edge) / 4.0
+            else:
+                x, width = x + sign * width, 2.0 * width
+            if done(_rank_cdfs(kernel, x)):
+                break
+        else:
+            raise NumericError(f"no bulk edge found toward {edge}")
+        edges.append(x)
+    return tuple(edges)
 
-    cuts = [lo] + [e for e in edges if lo < e < hi] + [hi]
+
+def _marginal_cuts(kernel: KernelForm, ell: int) -> tuple:
+    """Quadrature split points of one marginal at fixed levels of its
+    closed-form distribution function.  The outer two are pushed out by 0.2
+    (below) and 0.7 (above) of the span between them, so that the unbounded
+    end segment holds a negligible share of a moment's integrand; an end
+    segment that starts inside the upper tail costs the adaptive rule more
+    subdivisions.  All ranks are placed from one grid of count
+    distributions, kept on the kernel."""
+    cuts = kernel.memo.get("marginal_cuts")
+    if cuts is None:
+        a, b = _bulk_bracket(kernel)
+        grid = np.linspace(a, b, _CUT_GRID)
+        table = np.array([_rank_cdfs(kernel, float(x)) for x in grid])
+        lo, hi = kernel.support
+        cuts = []
+        for col in table.T:
+            qs = np.interp(_CUT_LEVELS, np.maximum.accumulate(col), grid)
+            spread = max(qs[-1] - qs[0], 1e-3)
+            first = max(qs[0] - 0.2 * spread, lo)
+            last = min(qs[-1] + 0.7 * spread, hi)
+            cuts.append((first, *(float(q) for q in qs[1:-1]), last))
+        kernel.memo["marginal_cuts"] = cuts
+    return cuts[ell - 1]
+
+
+def _integrate_marginal(model: EnsembleModel, ell: int, weight: Callable[[float], float]) -> float:
+    """Adaptive integral of ``weight(x) * pdf_single(ell, x)`` over the support.
+
+    The density is the tensor engine's, so the total mass stays an
+    independent check of the normalizer that the closed-form distribution
+    functions share.  The adaptive rule's nodes depend on the weight only
+    through its subdivisions, so the densities at the nodes are kept on the
+    kernel and expectations of one marginal (the moments of a ``moments``
+    request) share most of them."""
+    kernel = kernel_form(model)
+    _check_rank(kernel, ell)
+    lo, hi = kernel.support
+    densities = kernel.memo.setdefault(("densities", ell), {})
+
+    def f(x: float) -> float:
+        density = densities.get(x)
+        if density is None:
+            density = densities[x] = pdf_single(model, ell, x)
+        # far out the density underflows to 0 before a growing weight overflows
+        return weight(x) * density if density else 0.0
+
+    cuts = [lo] + [e for e in _marginal_cuts(kernel, ell) if lo < e < hi] + [hi]
     total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
@@ -351,40 +597,9 @@ def _integrate_marginal(
     return total
 
 
-def cdf_single(model: EnsembleModel, ell: int, x: float) -> float:
-    """Distribution function of the ell-th largest eigenvalue."""
-    kernel = kernel_form(model)
-    if not (1 <= ell <= kernel.m):
-        raise ValueError(f"eigenvalue rank {ell} outside 1..{kernel.m}")
-    if x <= kernel.support[0]:
-        return 0.0
-    if x >= kernel.support[1]:
-        return 1.0
-    return _integrate_marginal(model, ell, kernel.support[0], x)
-
-
-def cdf_curve(model: EnsembleModel, ell: int, grid: Sequence[float]) -> np.ndarray:
-    """Distribution function on an ascending grid, integrated cumulatively."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1:
-        raise ValueError("grid must be a nonempty 1-d sequence")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    out = np.empty(len(grid))
-    out[0] = cdf_single(model, ell, float(grid[0]))
-    for idx in range(1, len(grid)):
-        out[idx] = out[idx - 1] + _integrate_marginal(
-            model, ell, float(grid[idx - 1]), float(grid[idx])
-        )
-    return np.clip(out, 0.0, 1.0)
-
-
 def expect_single(model: EnsembleModel, ell: int, fn: Callable[[float], float]) -> float:
     """Expectation of ``fn`` under the marginal of the ell-th eigenvalue."""
-    kernel = kernel_form(model)
-    if not (1 <= ell <= kernel.m):
-        raise ValueError(f"eigenvalue rank {ell} outside 1..{kernel.m}")
-    return _integrate_marginal(model, ell, kernel.support[0], kernel.support[1], weight=fn)
+    return _integrate_marginal(model, ell, fn)
 
 
 def moment_single(model: EnsembleModel, ell: int, order: int) -> float:
@@ -495,11 +710,7 @@ def curve(
     index: Optional[int] = None,
 ) -> CurveGrid:
     """Evaluate a named statistic over a sorted grid of abscissae."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1:
-        raise ValueError("grid must be a nonempty 1-d sequence")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted ascending")
+    grid = _check_grid(grid)
     meta = {"ensemble": spec_string(model), "statistic": statistic}
 
     if statistic == "pdf":

@@ -439,6 +439,27 @@ class KernelForm:
     def const(self, j: int, k: int) -> SignedLog:
         raise ValueError(f"kernel has no constant columns (n == m == {self.m})")
 
+    @functools.cached_property
+    def const_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Signs and logs of the (n-m) x n constant block: row k-m-1 holds
+        ``const(j, k)`` for j = 1..n, for k = m+1..n."""
+        signs = np.zeros((self.n - self.m, self.n))
+        logs = np.full((self.n - self.m, self.n), -_INF)
+        for k in range(self.m + 1, self.n + 1):
+            for j in range(1, self.n + 1):
+                v = self.const(j, k)
+                signs[k - self.m - 1, j - 1] = v.sign
+                logs[k - self.m - 1, j - 1] = v.logmag
+        return signs, logs
+
+    @functools.cached_property
+    def memo(self) -> dict:
+        """Values derived from this kernel by the statistics layer (grouping
+        plans, marginal quadrature cuts, the densities at quadrature nodes);
+        they are dropped with the kernel, so ``kernel_form.cache_clear()``
+        clears them too."""
+        return {}
+
     # -- table rules: closed forms of the weighted row products ----------------
 
     def point(self, i: int, j: int, x: float) -> SignedLog:

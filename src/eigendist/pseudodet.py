@@ -13,6 +13,7 @@ rescaling, and the outer sum is merged chunk-by-chunk in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ __all__ = [
 
 # permutations per determinant batch; bounds the (B, N, N) work arrays
 _CHUNK = 4096
+# plans with at most this many representatives keep their enumeration
+_CACHED_REPS = 1024
 
 
 class Tensor3:
@@ -167,6 +170,19 @@ class GroupedPermutationPlan:
     def representative_count(self) -> int:
         return math.factorial(self.n) // self.multiplicity
 
+    def chunks(self):
+        """Class representatives in chunks of at most _CHUNK, each with its
+        parity signs.  A plan of at most _CACHED_REPS representatives
+        enumerates them once and keeps them, for a caller that evaluates one
+        grouping at many abscissae."""
+        if self.representative_count > _CACHED_REPS:
+            return _chunks(_representatives(self.groups, self.n))
+        return self._kept_chunks
+
+    @functools.cached_property
+    def _kept_chunks(self) -> tuple:
+        return tuple(_chunks(_representatives(self.groups, self.n)))
+
     def check_against(self, tensor: Tensor3, rtol: float = 1e-12) -> None:
         """Check that every entry of each group's slices equals the group's
         first slice: signs exactly, log magnitudes to ``rtol``."""
@@ -221,7 +237,9 @@ def _perm_signs(mu_batch: np.ndarray) -> np.ndarray:
     return np.where(inversions % 2 == 0, 1.0, -1.0)
 
 
-def _chunk_terms(tensor: Tensor3, mu_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_terms(
+    tensor: Tensor3, mu_batch: np.ndarray, parity: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     n = tensor.n
     signs_t = tensor.signs.transpose(2, 0, 1)
     logs_t = tensor.logs.transpose(2, 0, 1)
@@ -229,23 +247,25 @@ def _chunk_terms(tensor: Tensor3, mu_batch: np.ndarray) -> tuple[np.ndarray, np.
     mats_s = signs_t[rows, mu_batch, :]
     mats_l = logs_t[rows, mu_batch, :]
     det_sgn, det_log = _batch_det(mats_s, mats_l)
-    return det_sgn * _perm_signs(mu_batch), det_log
+    return det_sgn * parity, det_log
 
 
-def _batched(iterator, size: int):
+def _chunks(mu_iter):
+    """Permutation chunks of at most _CHUNK rows, each with its parity signs."""
     while True:
-        block = list(itertools.islice(iterator, size))
+        block = list(itertools.islice(mu_iter, _CHUNK))
         if not block:
             return
-        yield np.asarray(block, dtype=np.intp)
+        batch = np.asarray(block, dtype=np.intp)
+        yield batch, _perm_signs(batch)
 
 
-def _accumulate(tensor: Tensor3, mu_iter, stats: EvalStats | None) -> SignedLog:
+def _accumulate(tensor: Tensor3, chunks, stats: EvalStats | None) -> SignedLog:
     acc = SignedLogSum()
-    for batch in _batched(mu_iter, _CHUNK):
+    for batch, parity in chunks:
         if stats is not None:
             stats.determinants += len(batch)
-        s, l = _chunk_terms(tensor, batch)
+        s, l = _chunk_terms(tensor, batch, parity)
         acc.add_terms(s, l)
     return acc.total()
 
@@ -253,7 +273,7 @@ def _accumulate(tensor: Tensor3, mu_iter, stats: EvalStats | None) -> SignedLog:
 def pseudo_det(tensor: Tensor3, stats: EvalStats | None = None) -> SignedLog:
     """Full permutation-sum evaluation: one determinant per slice permutation."""
     mu_iter = (np.asarray(p, dtype=np.intp) for p in itertools.permutations(range(tensor.n)))
-    return _accumulate(tensor, mu_iter, stats)
+    return _accumulate(tensor, _chunks(mu_iter), stats)
 
 
 def pseudo_det_grouped(
@@ -261,5 +281,5 @@ def pseudo_det_grouped(
 ) -> SignedLog:
     """Grouped evaluation over class representatives with multiplicity weight."""
     plan.check_against(tensor)
-    total = _accumulate(tensor, _representatives(plan.groups, plan.n), stats)
+    total = _accumulate(tensor, plan.chunks(), stats)
     return total.scaled(float(plan.multiplicity))

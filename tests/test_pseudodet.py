@@ -218,6 +218,25 @@ def test_grouped_equals_naive_on_many_random_tensors(n):
     assert checked >= 20
 
 
+def test_small_plan_enumerates_once():
+    plan = GroupedPermutationPlan.from_segment_sizes(5, (2, 2))
+    chunks = plan.chunks()
+    assert chunks is plan.chunks()
+    rows = np.concatenate([batch for batch, _parity in chunks])
+    assert len(rows) == plan.representative_count == 30
+    assert len({tuple(r) for r in rows}) == 30
+    for batch, parity in chunks:
+        assert list(parity) == [perm_sign(tuple(r)) for r in batch]
+    rng = np.random.default_rng(11)
+    tensor = Tensor3(np.ones((5, 5, 5)), rng.standard_normal((5, 5, 5)))
+    tensor.signs[...] = tensor.signs[:, :, [0, 0, 2, 2, 4]]
+    tensor.logs[...] = tensor.logs[:, :, [0, 0, 2, 2, 4]]
+    first = pseudo_det_grouped(tensor, plan)
+    again = pseudo_det_grouped(tensor, plan)
+    fresh = pseudo_det_grouped(tensor, GroupedPermutationPlan.from_segment_sizes(5, (2, 2)))
+    assert first == again == fresh
+
+
 def test_plan_mismatch_detected():
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((4, 4, 4))  # no k-constancy at all
