@@ -14,15 +14,16 @@ at one abscissa or over one segment.
 The uncorrelated, spiked and correlated Wishart kernels, and the polynomial
 columns of the noncentral one, share one entry rule: each declares in
 ``_entry(i, j)`` a triple (sign, power, scale) for the weighted product
-``sign * x^power * e^(-x/scale)``, and ``_GammaKernel`` turns it into point
-values and incomplete-gamma segment integrals, one entry at a time
-(``point``, ``tilted_segment``) or a whole slice at once (``slice``).  A
-segment slice is gathered from one ``incomplete_gamma_table`` array per
-distinct scale and endpoint.  GUE (Gaussian weight) keeps its own rule but
-fills its slices from the same tables; the noncentral series columns carry
-a confluent series factor, and their segment entries are positive series
-over the same tables, without quadrature.  Beta (binomial sums) and
-callable tilts fill slices entry by entry.
+``sign * x^power * e^(-x/scale)``, and ``_GammaKernel`` turns the arrays of
+triples into point slices and incomplete-gamma segment slices.  A segment
+slice is gathered from one ``incomplete_gamma_table`` array per distinct
+scale and endpoint.  GUE (Gaussian weight) keeps its own rule but fills its
+slices from the same tables; the noncentral series columns carry a
+confluent series factor, and their segment entries are positive series over
+the same tables, without quadrature.  Beta segments are regularized
+incomplete beta functions.  Tilts with no closed form (callable factors,
+and exponential tilts of the Gaussian and beta weights) integrate the
+kernel's own point slice with one vector quadrature.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.integrate import quad_vec
+from scipy.special import betainc, betaincc, betaln, gammaln
 
 from .errors import ConditioningWarning, InvalidModelError
 from .pseudodet import _det_from_arrays, det_signed_log
@@ -45,8 +46,6 @@ from .specfun import (
     hyp0f1,
     incomplete_gamma_table,
     log_factorial,
-    two_limit_gamma,
-    upper_incomplete_gamma,
 )
 
 __all__ = [
@@ -229,8 +228,9 @@ EnsembleModel = Union[
 class Tilt:
     """Factor ``x^power * exp(rate*x) * fn(x)`` applied under the integral.
 
-    Monomial and pure exponential tilts keep the closed forms; a callable
-    forces the quadrature path.
+    Monomial tilts, and exponential tilts of the gamma weights, keep the
+    closed forms; a callable, or an exponential tilt of the Gaussian or beta
+    weight, takes the quadrature in ``KernelForm.slice``.
     """
 
     power: int = 0
@@ -274,26 +274,6 @@ def _monomial(x: float, p: int) -> SignedLog:
     return SignedLog.from_log(p * math.log(abs(x)), sign)
 
 
-def _gamma_rate_segment(q: float, rate: float, a: float, b: float) -> SignedLog:
-    """Integral of ``x^q e^(-rate x)`` over (a, b) with 0 <= a < b <= inf."""
-    s = q + 1.0
-    if b == _INF:
-        core = upper_incomplete_gamma(s, a * rate)
-    else:
-        core = two_limit_gamma(s, a * rate, b * rate)
-    return core * SignedLog.from_log(-s * math.log(rate))
-
-
-def _gauss_pos_segment(q: int, a: float, b: float) -> SignedLog:
-    # u = x^2 turns the Gaussian weight into a gamma weight of shape (q+1)/2
-    s = (q + 1) / 2.0
-    if b == _INF:
-        core = upper_incomplete_gamma(s, a * a)
-    else:
-        core = two_limit_gamma(s, a * a, b * b)
-    return core.scaled(0.5)
-
-
 def _gauss_family(s0: float, idx: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Signs and logs of the integrals of ``x^q e^(-x^2)`` over (a, b) for the
     powers ``q = 2 (s0 + idx) - 1``: even powers for s0 = 1/2, and for s0 = 1
@@ -315,54 +295,14 @@ def _gauss_family(s0: float, idx: np.ndarray, a: float, b: float) -> tuple[np.nd
     return signs, logs + math.log(0.5)
 
 
-def _gauss_segment(q: int, a: float, b: float) -> SignedLog:
-    """Integral of ``x^q e^(-x^2)`` over (a, b); odd powers flip sign on the
-    negative half-axis."""
-    if a >= 0.0:
-        return _gauss_pos_segment(q, a, b)
-    if b <= 0.0:
-        flip = -1 if q % 2 else 1
-        val = _gauss_pos_segment(q, -b, -a)
-        return -val if flip < 0 else val
-    left = _gauss_segment(q, a, 0.0)
-    right = _gauss_pos_segment(q, 0.0, b)
-    return left + right
-
-
-def _beta_power_segment(p: int, q: int, a: float, b: float) -> SignedLog:
-    """Integral of ``x^p (1-x)^q`` over (a, b) within [0, 1] by binomial sums,
-    expanded around whichever endpoint keeps the alternating terms small."""
-    a = min(max(a, 0.0), 1.0)
-    b = min(max(b, 0.0), 1.0)
-    if b <= a:
-        return SignedLog.zero()
-    if b <= 0.5:
-        terms = [
-            math.comb(q, t) * (-1) ** t * (b ** (p + t + 1) - a ** (p + t + 1)) / (p + t + 1)
-            for t in range(q + 1)
-        ]
-        return SignedLog.of(math.fsum(terms))
-    if a >= 0.5:
-        u_lo, u_hi = 1.0 - b, 1.0 - a
-        terms = [
-            math.comb(p, t)
-            * (-1) ** t
-            * (u_hi ** (q + t + 1) - u_lo ** (q + t + 1))
-            / (q + t + 1)
-            for t in range(p + 1)
-        ]
-        return SignedLog.of(math.fsum(terms))
-    return _beta_power_segment(p, q, a, 0.5) + _beta_power_segment(p, q, 0.5, b)
-
-
-def _quad_plain(f: Callable[[float], float], a: float, b: float) -> SignedLog:
-    val, _ = quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return SignedLog.of(val)
-
-
 # ---------------------------------------------------------------------------
 # array helpers: whole slices in signed-log form
 # ---------------------------------------------------------------------------
+
+
+def _log_pows(x: float, powers: np.ndarray) -> np.ndarray:
+    """Logs of ``x^powers`` for x >= 0, elementwise, with ``0^0 = 1``."""
+    return np.where(powers == 0, 0.0, -_INF) if x == 0.0 else powers * math.log(x)
 
 
 def _signed(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,6 +342,20 @@ def _gamma_segments(
     return _log_diff(np.where(below, lower_b, upper_a), np.where(below, lower_a, upper_b))
 
 
+def _beta_segments(p: np.ndarray, q: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of the integrals of ``x^(p-1) (1-x)^(q-1)`` over the part
+    of (a, b) inside [0, 1]: the lower regularized incomplete beta functions'
+    difference where b is below the mean ``p / (p + q)``, the upper ones'
+    elsewhere, as in ``_gamma_segments``."""
+    a, b = min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
+    with np.errstate(divide="ignore"):
+        lower_a, lower_b = np.log(betainc(p, q, a)), np.log(betainc(p, q, b))
+        upper_a, upper_b = np.log(betaincc(p, q, a)), np.log(betaincc(p, q, b))
+    below = b < p / (p + q)
+    signs, logs = _log_diff(np.where(below, lower_b, upper_a), np.where(below, lower_a, upper_b))
+    return signs, logs + betaln(p, q)
+
+
 # ---------------------------------------------------------------------------
 # kernel forms
 # ---------------------------------------------------------------------------
@@ -410,7 +364,8 @@ def _gamma_segments(
 class KernelForm:
     """Kernel decomposition shared by all ensembles.
 
-    Subclasses fill in the row functions and the segment rules.  ``m`` is the
+    Subclasses fill in the row functions, which ``ordered_density`` reads,
+    and the array rule ``slice``, which the engine reads.  ``m`` is the
     number of random eigenvalues, ``n >= m`` the kernel dimension; columns
     m+1..n of the second determinant are constants.  ``log_k`` is the
     normalizing constant.
@@ -460,17 +415,7 @@ class KernelForm:
         clears them too."""
         return {}
 
-    # -- table rules: closed forms of the weighted row products ----------------
-
-    def point(self, i: int, j: int, x: float) -> SignedLog:
-        """Entry (i, j) at x: phi_i * xi * psi_j, or bare xi * psi_j for i > m."""
-        raise NotImplementedError
-
-    def segment(self, i: int, j: int, a: float, b: float) -> SignedLog:
-        return self.tilted_segment(i, j, a, b, IDENTITY_TILT)
-
-    def tilted_segment(self, i: int, j: int, a: float, b: float, tilt: Tilt) -> SignedLog:
-        raise NotImplementedError
+    # -- table rule: the weighted row products at a point or over a segment ----
 
     def _check_rate(self, tilt: Tilt) -> None:
         if tilt.rate >= self.max_exp_rate:
@@ -479,48 +424,42 @@ class KernelForm:
                 f"weight decay rate {self.max_exp_rate}"
             )
 
-    def _quad_tilted(self, i: int, j: int, a: float, b: float, tilt: Tilt) -> SignedLog:
-        self._check_rate(tilt)
-
-        def f(x: float) -> float:
-            # compose in log scale; only the final conversion can saturate
-            v = self.point(i, j, x)
-            if tilt.power:
-                v = v * SignedLog.of(x) ** tilt.power
-            if tilt.rate:
-                v = v * SignedLog.from_log(tilt.rate * x)
-            out = v.to_float()
-            if tilt.fn is not None:
-                out *= tilt.fn(x)
-            return out
-
-        lo = max(a, self.support[0])
-        hi = min(b, self.support[1])
-        if hi <= lo:
-            return SignedLog.zero()
-        return _quad_plain(f, lo, hi)
-
     def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
         """Signs and logs of the n x n slice named by a point abscissa or a
-        segment key ``(a, b, tilt)``.
+        segment key ``(a, b, tilt)``: entry (i, j) is phi_i * xi * psi_j, with
+        bare xi * psi_j on the rows past m, at the point or integrated over
+        the segment against the tilt.
 
-        This fills the slice entry by entry from ``point`` and
-        ``tilted_segment``; kernels with closed-form tables override it with
-        array rules and fall back here for callable tilts.
+        Subclasses fill points and closed-form segments and pass here the
+        tilts that have none, which integrate the point slice times the tilt
+        with one vector quadrature.  The tilt is composed in log scale, since
+        ``e^(rate x)`` alone overflows at far nodes.  Each entry is divided
+        by its untilted integral over the half of the segment on the longer
+        side of the origin: a closed form with no sign change that holds at
+        least half of the entry's magnitude (``|x|^q`` times the Gaussian
+        weight is even).  Under max-norm error control, that gives every
+        entry relative accuracy, not only the largest.
         """
-        if isinstance(key, tuple):
-            a, b, tilt = key
-            entry = lambda i, j: self.tilted_segment(i, j, a, b, tilt)
-        else:
-            entry = lambda i, j: self.point(i, j, key)
-        signs = np.zeros((self.n, self.n))
-        logs = np.full((self.n, self.n), -_INF)
-        for i in range(self.n):
-            for j in range(self.n):
-                v = entry(i + 1, j + 1)
-                signs[i, j] = v.sign
-                logs[i, j] = v.logmag
-        return signs, logs
+        a, b, tilt = key
+        self._check_rate(tilt)
+        lo, hi = max(a, self.support[0]), min(b, self.support[1])
+        if hi <= lo:
+            return np.zeros((self.n, self.n)), np.full((self.n, self.n), -_INF)
+        half = (max(lo, 0.0), hi) if hi >= -lo else (lo, min(hi, 0.0))
+        scale = self.slice((*half, IDENTITY_TILT))[1]
+
+        def f(x: float) -> np.ndarray:
+            signs, logs = self.slice(x)
+            out = signs * np.exp(logs - scale + tilt.rate * x + _log_pow(abs(x), tilt.power))
+            if x < 0.0 and tilt.power % 2:
+                out = -out
+            # far nodes, where every weighted entry underflows, never reach
+            # the callable: e^(nu x) there raises OverflowError
+            return out * tilt.fn(x) if tilt.fn is not None and out.any() else out
+
+        val, _ = quad_vec(f, lo, hi, epsabs=0.0, epsrel=1e-12, norm="max")
+        with np.errstate(divide="ignore"):
+            return _signed(np.sign(val), np.log(np.abs(val)) + scale)
 
     # -- direct density -------------------------------------------------------
 
@@ -557,10 +496,11 @@ class _GammaKernel(KernelForm):
     on (0, inf); subclasses declare that triple in ``_entry``, and segments
     are incomplete gamma functions.
 
-    ``point`` and ``tilted_segment`` evaluate one entry; ``slice`` evaluates
-    the same rules on the cached arrays of triples.  A segment slice needs
-    one incomplete-gamma table per distinct scale and endpoint, gathered by
-    power (by i+j for a Hankel kernel).
+    ``slice`` evaluates the rule on the cached arrays of triples.  A segment
+    slice needs one incomplete-gamma table per distinct scale and endpoint,
+    gathered by power (by i+j for a Hankel kernel).  A monomial or
+    exponential tilt shifts the power or the rate; a callable one takes the
+    quadrature in ``KernelForm.slice``.
 
     The decay is a scale, not a rate, so the spiked kernel divides by its
     sigmas exactly as given: its permutation sums cancel strongly enough to
@@ -577,25 +517,10 @@ class _GammaKernel(KernelForm):
         table = np.array([[self._entry(i, j) for j in rng] for i in rng], dtype=float)
         return table[..., 0], table[..., 1].astype(int), table[..., 2]
 
-    def point(self, i: int, j: int, x: float) -> SignedLog:
-        sign, power, scale = self._entry(i, j)
-        return SignedLog.from_log(_log_pow(x, power) - x / scale, sign)
-
-    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
-        if tilt.fn is not None:
-            return self._quad_tilted(i, j, a, b, tilt)
-        self._check_rate(tilt)
-        sign, power, scale = self._entry(i, j)
-        val = _gamma_rate_segment(power + tilt.power, 1.0 / scale - tilt.rate, max(a, 0.0), b)
-        return val if sign > 0 else -val
-
     def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
         sign, power, scale = self._entries
         if not isinstance(key, tuple):
-            x = key
-            # _log_pow's rule at the origin: 0^0 = 1
-            lp = np.where(power == 0, 0.0, -_INF) if x == 0.0 else power * math.log(x)
-            return _signed(sign, lp - x / scale)
+            return _signed(sign, _log_pows(key, power) - key / scale)
         a, b, tilt = key
         if tilt.fn is not None:
             return super().slice(key)
@@ -649,22 +574,11 @@ class _GUEKernel(_MonomialSquareKernel):
     def xi(self, x: float) -> SignedLog:
         return SignedLog.from_log(-x * x)
 
-    def point(self, i: int, j: int, x: float) -> SignedLog:
-        q = i + j - 2
-        sign = -1 if (x < 0 and q % 2) else 1
-        return SignedLog.from_log(_log_pow(abs(x), q) - x * x, sign)
-
-    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
-        if tilt.fn is not None or tilt.rate != 0.0:
-            return self._quad_tilted(i, j, a, b, tilt)
-        return _gauss_segment(i + j - 2 + tilt.power, a, b)
-
     def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
         q = np.add.outer(np.arange(self.n), np.arange(self.n))
         if not isinstance(key, tuple):
             x = key
-            lp = np.where(q == 0, 0.0, -_INF) if x == 0.0 else q * math.log(abs(x))
-            return _signed(np.where((x < 0) & (q % 2 == 1), -1.0, 1.0), lp - x * x)
+            return _signed(np.where((x < 0) & (q % 2 == 1), -1.0, 1.0), _log_pows(abs(x), q) - x * x)
         a, b, tilt = key
         if tilt.fn is not None or tilt.rate != 0.0:
             return super().slice(key)
@@ -697,14 +611,14 @@ class _BetaKernel(_MonomialSquareKernel):
     def xi(self, x: float) -> SignedLog:
         return SignedLog.from_log(_log_pow(x, self.model.m) + _log_pow(1.0 - x, self.model.n))
 
-    def point(self, i: int, j: int, x: float) -> SignedLog:
-        q = i + j - 2 + self.model.m
-        return SignedLog.from_log(_log_pow(x, q) + _log_pow(1.0 - x, self.model.n))
-
-    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
+    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
+        q = np.add.outer(np.arange(self.n), np.arange(self.n)) + self.model.m
+        if not isinstance(key, tuple):
+            return _signed(1.0, _log_pows(key, q) + _log_pow(1.0 - key, self.model.n))
+        a, b, tilt = key
         if tilt.fn is not None or tilt.rate != 0.0:
-            return self._quad_tilted(i, j, max(a, 0.0), min(b, 1.0), tilt)
-        return _beta_power_segment(i + j - 2 + self.model.m + tilt.power, self.model.n, a, b)
+            return super().slice(key)
+        return _beta_segments(q + tilt.power + 1.0, self.model.n + 1.0, a, b)
 
 
 class _SpikedKernel(_GammaKernel):
@@ -849,20 +763,6 @@ class _NoncentralKernel(_GammaKernel):
     def _entry(self, i: int, j: int) -> tuple:
         return 1, self.model.n + self.model.dim - i - j, 1.0
 
-    def point(self, i: int, j: int, x: float) -> SignedLog:
-        if j > self.model.rank:
-            return super().point(i, j, x)
-        series = hyp0f1(self._b0, self.model.mu[j - 1] * x)
-        return SignedLog.from_log(
-            _log_pow(x, self.model.n - i) - x + series.logmag - self._log_norm
-        )
-
-    def tilted_segment(self, i, j, a, b, tilt: Tilt) -> SignedLog:
-        if j > self.model.rank or tilt.fn is not None:
-            return super().tilted_segment(i, j, a, b, tilt)
-        self._check_rate(tilt)
-        return SignedLog.from_log(self._series_segment(a, b, tilt)[i - 1, j - 1])
-
     def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
         signs, logs = super().slice(key)
         if isinstance(key, tuple) and key[2].fn is not None:
@@ -873,8 +773,7 @@ class _NoncentralKernel(_GammaKernel):
         return signs, logs
 
     def _series_point(self, x: float) -> np.ndarray:
-        powers = self.model.n - np.arange(1, self.n + 1)
-        lp = np.where(powers == 0, 0.0, -_INF) if x == 0.0 else powers * math.log(x)
+        lp = _log_pows(x, self.model.n - np.arange(1, self.n + 1))
         series = np.array([hyp0f1(self._b0, mu * x).logmag for mu in self.model.mu])
         return lp[:, None] - x + series[None, :] - self._log_norm
 

@@ -148,6 +148,14 @@ def test_cdf_curves_stay_in_unit_interval_and_nondecreasing(case):
     assert curves[0][1] < 1e-12 and curves[-1][-2] > 1.0 - 1e-12
 
 
+def test_beta_cdf_around_the_middle_stays_in_unit_interval():
+    # segments around x = 0.5 must keep their relative accuracy: an error of
+    # 1e-12 in the slices reads P(lambda_8 <= 0.4) above one
+    vals = cdf_curve(Beta(8, 3, 3), 8, np.linspace(0.3, 0.7, 9))
+    assert np.all((vals >= 0.0) & (vals <= 1.0)), vals
+    assert np.all(np.diff(vals) >= 0.0), vals
+
+
 def test_cdf_ranks_are_ordered():
     # lambda_1 >= ... >= lambda_m, so F_1 <= ... <= F_m everywhere
     for model, xs, _, _ in GATE_MODELS:

@@ -1,5 +1,6 @@
 """Kernel decompositions: constants, segment rules, and model validation."""
 
+import functools
 import math
 import warnings
 
@@ -22,8 +23,9 @@ from eigendist.ensembles import (
     parse_spec,
     spec_string,
 )
-from eigendist.ensembles import _gauss_segment
+from eigendist.distributions import expect_product_unordered, mgf_unordered, moments_unordered
 from eigendist.errors import ConditioningWarning, InvalidModelError
+from eigendist.signedlog import SignedLog
 
 
 # -- normalizing constants -----------------------------------------------------
@@ -81,17 +83,46 @@ def _abscissae(support):
     return (0.3, 2.0, 7.5)
 
 
+def _row_product(kernel, i, j, x):
+    # entry (i, j) is phi_i * xi * psi_j, with bare xi on the rows past m
+    row = kernel.phi(i, x) * kernel.xi(x) if i <= kernel.m else kernel.xi(x)
+    return row * kernel.psi(j, x)
+
+
+def _point_entry(point, i, j, tilt=Tilt()):
+    """Entry (i, j) of the point slice ``point(x)`` times the tilt, as a
+    function of x, composed in log form: x^2 e^(rate x) alone overflows far
+    out."""
+
+    def f(x):
+        signs, logs = point(x)
+        sign = signs[i - 1, j - 1] * (-1 if x < 0 and tilt.power % 2 else 1)
+        log_tilt = tilt.power * math.log(abs(x)) if tilt.power else 0.0
+        out = sign * math.exp(logs[i - 1, j - 1] + log_tilt + tilt.rate * x) if sign else 0.0
+        return out * tilt.fn(x) if tilt.fn is not None else out
+
+    return f
+
+
+def _quad_entry(kernel, i, j, a, b, tilt=Tilt(), point=None, **opts):
+    """Reference segment entry: quad of the point slice over (a, b) within the
+    support, split at the origin, where odd powers change sign."""
+    lo, hi = max(a, kernel.support[0]), min(b, kernel.support[1])
+    f = _point_entry(point or kernel.slice, i, j, tilt)
+    pieces = [(lo, min(hi, 0.0)), (max(lo, 0.0), hi)]
+    return sum(quad(f, u, v, **opts)[0] for u, v in pieces if u < v)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: spec_string(m))
 def test_point_rule_matches_row_functions(model):
-    # entry (i, j) is phi_i * xi * psi_j, with bare xi on the rows past m
     kernel = kernel_form(model)
     for x in _abscissae(kernel.support):
+        signs, logs = kernel.slice(x)
         for i in range(1, kernel.n + 1):
-            row = kernel.phi(i, x) * kernel.xi(x) if i <= kernel.m else kernel.xi(x)
             for j in range(1, kernel.n + 1):
-                got, want = kernel.point(i, j, x), row * kernel.psi(j, x)
-                assert got.sign == want.sign, (i, j, x)
-                assert got.logmag == pytest.approx(want.logmag, rel=1e-14), (i, j, x)
+                want = _row_product(kernel, i, j, x)
+                assert signs[i - 1, j - 1] == want.sign, (i, j, x)
+                assert logs[i - 1, j - 1] == pytest.approx(want.logmag, rel=1e-14), (i, j, x)
 
 
 SLICE_MODELS = MODELS + [
@@ -102,6 +133,13 @@ SLICE_MODELS = MODELS + [
 ]
 
 NARROW = 1e-4
+
+
+def _peak(x):
+    # a callable factor peaked at x = 0.5, where the low powers carry the
+    # integrand: entries ten digits below the largest still need their own
+    # relative accuracy
+    return 1.0 / (1.0 + 100.0 * (x - 0.5) ** 2)
 
 
 def _slice_keys(kernel):
@@ -118,13 +156,15 @@ def _slice_keys(kernel):
         *((x, x + NARROW) for x in bulk),
     ]
     rate = 0.25 * kernel.max_exp_rate if math.isfinite(kernel.max_exp_rate) else 0.5
-    tilts = [Tilt(power=2), Tilt(rate=rate), Tilt(rate=-0.3)]
+    tilts = [Tilt(power=2), Tilt(rate=rate), Tilt(rate=-0.3), Tilt(fn=_peak)]
     return points + [(a, b, Tilt()) for a, b in segments] + [(lo, hi, t) for t in tilts]
 
 
 @pytest.mark.parametrize("model", SLICE_MODELS, ids=lambda m: spec_string(m))
 def test_slices_match_entry_rules(model):
     kernel = kernel_form(model)
+    # the per-entry references revisit the same quadrature nodes
+    point = functools.lru_cache(maxsize=None)(kernel.slice)
     for key in _slice_keys(kernel):
         rel = 1e-12
         if isinstance(key, tuple) and key[1] - key[0] == pytest.approx(NARROW):
@@ -137,9 +177,12 @@ def test_slices_match_entry_rules(model):
         for i in range(1, kernel.n + 1):
             for j in range(1, kernel.n + 1):
                 if isinstance(key, tuple):
-                    want = kernel.tilted_segment(i, j, *key)
+                    value = _quad_entry(
+                        kernel, i, j, *key, point=point, epsabs=0.0, epsrel=1e-13, limit=200
+                    )
+                    want = SignedLog.of(value)
                 else:
-                    want = kernel.point(i, j, key)
+                    want = _row_product(kernel, i, j, key)
                 assert signs[i - 1, j - 1] == want.sign, (key, i, j)
                 got = logs[i - 1, j - 1]
                 assert got == pytest.approx(want.logmag, rel=rel, abs=rel), (key, i, j)
@@ -157,17 +200,16 @@ def test_noncentral_series_columns_match_quadrature(model):
             signs, logs = kernel.slice((a, b, tilt))
             for i in range(1, kernel.n + 1):
                 for j in range(1, model.rank + 1):
-
-                    def f(x):
-                        # in log form: x^2 e^(rate x) alone overflows far out
-                        v = kernel.point(i, j, x)
-                        log_tilt = tilt.power * math.log(x) if tilt.power else 0.0
-                        return math.exp(v.logmag + log_tilt + tilt.rate * x) if v.sign else 0.0
-
+                    f = _point_entry(kernel.slice, i, j, tilt)
                     want, _ = quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)
                     got = signs[i - 1, j - 1] * math.exp(logs[i - 1, j - 1])
                     assert got == pytest.approx(want, rel=1e-10), (tilt, a, b, i, j)
     assert normalization_check(model) == pytest.approx(1.0, abs=1e-12)
+
+
+def _slice_entry(kernel, key, i, j):
+    signs, logs = kernel.slice(key)
+    return signs[i - 1, j - 1] * math.exp(logs[i - 1, j - 1])
 
 
 def test_gauss_segment_near_the_origin():
@@ -175,9 +217,11 @@ def test_gauss_segment_near_the_origin():
     def half_lower(u):
         return 0.5 * math.exp(gammaln(5.5)) * gammainc(5.5, u)
 
-    got = _gauss_segment(10, 0.0, 0.1).to_float()
+    # entry (6, 6) of GUE(6) carries x^10
+    kernel = kernel_form(GUE(6))
+    got = _slice_entry(kernel, (0.0, 0.1, Tilt()), 6, 6)
     assert got == pytest.approx(half_lower(0.01), rel=1e-12, abs=0.0)
-    got = _gauss_segment(10, -0.2, 0.1).to_float()
+    got = _slice_entry(kernel, (-0.2, 0.1, Tilt()), 6, 6)
     assert got == pytest.approx(half_lower(0.04) + half_lower(0.01), rel=1e-12, abs=0.0)
 
 
@@ -198,10 +242,8 @@ def test_segment_rules_agree_with_quadrature(model):
         i = int(rng.integers(1, kernel.n + 1))
         j = int(rng.integers(1, kernel.n + 1))
         a, b = _random_bounds(rng, kernel.support)
-        got = kernel.segment(i, j, a, b).to_float()
-        want, err = quad(
-            lambda x: kernel.point(i, j, x).to_float(), a, b, epsabs=1e-13, epsrel=1e-11
-        )
+        got = _slice_entry(kernel, (a, b, Tilt()), i, j)
+        want, err = quad(_point_entry(kernel.slice, i, j), a, b, epsabs=1e-13, epsrel=1e-11)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-13), (i, j, a, b)
         checks += 1
 
@@ -214,41 +256,96 @@ def test_segment_rules_agree_with_quadrature(model):
 def test_unbounded_segments_agree_with_quadrature(model):
     kernel = kernel_form(model)
     for i, j, a in [(1, 1, 0.5), (2, 1, 2.0), (2, 2, 1.0)]:
-        got = kernel.segment(i, j, a, math.inf).to_float()
-        want, _ = quad(lambda x: kernel.point(i, j, x).to_float(), a, np.inf)
+        got = _slice_entry(kernel, (a, math.inf, Tilt()), i, j)
+        want, _ = quad(_point_entry(kernel.slice, i, j), a, np.inf)
         assert got == pytest.approx(want, rel=1e-9)
     if kernel.support[0] == -math.inf:
-        got = kernel.segment(1, 2, -math.inf, -0.3).to_float()
-        want, _ = quad(lambda x: kernel.point(1, 2, x).to_float(), -np.inf, -0.3)
+        got = _slice_entry(kernel, (-math.inf, -0.3, Tilt()), 1, 2)
+        want, _ = quad(_point_entry(kernel.slice, 1, 2), -np.inf, -0.3)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_gue_odd_power_negative_half_axis():
     # integral of x e^(-x^2) over the negative half-axis is -1/2
     table = kernel_form(GUE(2))
-    got = table.segment(1, 2, -math.inf, 0.0).to_float()
+    got = _slice_entry(table, (-math.inf, 0.0, Tilt()), 1, 2)
     assert got == pytest.approx(-0.5, rel=1e-13)
 
 
 def test_uncorrelated_trivial_full_mass():
     table = kernel_form(UncorrelatedWishart(1, 1))
-    assert table.segment(1, 1, 0.0, math.inf).to_float() == pytest.approx(1.0)
+    assert _slice_entry(table, (0.0, math.inf, Tilt()), 1, 1) == pytest.approx(1.0)
 
 
 def test_tilted_segments_match_quadrature():
     model = UncorrelatedWishart(2, 3)
     table = kernel_form(model)
     for tilt in [Tilt(power=2), Tilt(rate=0.3), Tilt(power=1, rate=-0.5)]:
-        got = table.tilted_segment(1, 2, 0.0, math.inf, tilt).to_float()
+        got = _slice_entry(table, (0.0, math.inf, tilt), 1, 2)
         # the tail beyond 300 is far below the comparison tolerance
-        want, _ = quad(lambda x: table.point(1, 2, x).to_float() * tilt(x), 0, 300.0)
+        want, _ = quad(lambda x: _point_entry(table.slice, 1, 2)(x) * tilt(x), 0, 300.0)
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_tilt_divergence_rejected():
     table = kernel_form(UncorrelatedWishart(2, 2))
     with pytest.raises(ValueError, match="divergent"):
-        table.tilted_segment(1, 1, 0.0, math.inf, Tilt(rate=1.0))
+        table.slice((0.0, math.inf, Tilt(rate=1.0)))
+
+
+# -- tilts with no closed form ------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: spec_string(m))
+def test_callable_factor_matches_moment(model):
+    m = kernel_form(model).m
+    got = expect_product_unordered(model, [lambda x: x] + [None] * (m - 1))
+    want = moments_unordered(model, (1,) + (0,) * (m - 1))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model", [m for m in MODELS if not isinstance(m, (GUE, Beta))], ids=lambda m: spec_string(m)
+)
+def test_callable_exponential_matches_mgf(model):
+    kernel = kernel_form(model)
+    for nu in (0.25 * kernel.max_exp_rate, -0.3):
+        got = expect_product_unordered(model, [lambda x: math.exp(nu * x)] * kernel.m)
+        assert got == pytest.approx(mgf_unordered(model, (nu,) * kernel.m), rel=1e-12), nu
+
+
+@pytest.mark.parametrize("m, nu", [(3, 0.3), (3, -0.3), (2, 10.0)])
+def test_gue_mgf_matches_gaussian_trace(m, nu):
+    # the trace is normal with variance m/2 under the weight e^(-x^2); at
+    # nu = 10, e^(nu x) alone overflows at the far quadrature nodes
+    got = mgf_unordered(GUE(m), (nu,) * m)
+    assert got == pytest.approx(math.exp(m * nu * nu / 4.0), rel=1e-12)
+
+
+# -- beta segments around the middle of the support ----------------------------------
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5001), (0.49, 0.51)])
+def test_beta_slices_around_the_middle_match_quadrature(a, b):
+    # no expansion about either endpoint keeps alternating binomial terms
+    # small here; both segments lie below the means of x^p (1-x)^3
+    kernel = kernel_form(Beta(8, 3, 3))
+    tilt = Tilt(power=2)
+    signs, logs = kernel.slice((a, b, tilt))
+    for i in range(1, kernel.n + 1):
+        for j in range(1, kernel.n + 1):
+            want = _quad_entry(kernel, i, j, a, b, tilt, epsabs=0.0, epsrel=1e-13)
+            got = signs[i - 1, j - 1] * math.exp(logs[i - 1, j - 1])
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0), (i, j)
+
+
+@pytest.mark.parametrize(
+    "model, tol", [(Beta(8, 3, 3), 5e-5), (Beta(6, 0, 0), 5e-10)], ids=["beta-8-3-3", "beta-6-0-0"]
+)
+def test_beta_normalization_of_ill_conditioned_kernels(model, tol):
+    # the full-support entries are beta functions to a few ulp; what is left
+    # is the conditioning of the Hankel determinant
+    assert abs(normalization_check(model) - 1.0) < tol
 
 
 def test_constant_columns_match_hand_values():
