@@ -1,7 +1,7 @@
 """Marginal and joint statistics of ordered and unordered eigenvalues.
 
 Every statistic here is one rank-3 tensor fed to the grouped permutation
-sum, and every tensor is built by ``_assemble`` from one key per eigenvalue
+sum, and every tensor is built by ``_operator`` from one key per eigenvalue
 position 1..M.  A key is either a point abscissa ``x``, whose slice holds
 the kernel evaluated at ``x``, or a segment ``(a, b, tilt)``, whose slice
 holds the kernel integrated over [a, b] under the tilt factor; the kernel
@@ -18,26 +18,33 @@ Unordered densities use point keys followed by full-support segments, and
 unordered product expectations use one tilted full-support segment per
 eigenvalue.
 
+The abscissa is a batch axis: a key's point, or a segment's ends, may be a
+vector with one entry per abscissa set, and then the slices of all sets are
+filled in one kernel pass, the tensors are stacked, and the permutation sum
+takes their determinants together.  A single value is the batch of one,
+and every value is bit-identical whatever batch it was computed in, so a
+curve, a quadrature round or a cut grid is one call.
+
 Ordered distribution functions need no tensor: with B and A the slices of
 the segments below and above x, and C the constant rows, ``K det[B + t*A;
 C]`` is the generating function of the number of eigenvalues above x (the
 same Cauchy-Binet argument as behind the operator), so ``P(lambda_ell <=
-x)`` sums its first ell coefficients (``_count_distribution``).
-Single-eigenvalue expectations integrate the tensor engine's density with
-adaptive quadrature, split at levels of the closed-form distribution
-function, so the total mass of a marginal stays a check of K that does not
-go through the counting polynomial.
+x)`` sums its first ell coefficients (``_count_distribution``, which runs
+its circles for a batch of abscissae in lockstep).  Single-eigenvalue
+expectations integrate the tensor engine's density with a round-based
+adaptive Gauss-Kronrod rule on panels cut at levels of the closed-form
+distribution function, each round one batched density call, so the total
+mass of a marginal stays a check of K that does not go through the
+counting polynomial.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .ensembles import (
     EnsembleModel,
@@ -49,6 +56,7 @@ from .ensembles import (
 )
 from .errors import CapabilityError, NumericError
 from .pseudodet import (
+    _CHUNK,
     EvalStats,
     GroupedPermutationPlan,
     Tensor3,
@@ -56,6 +64,7 @@ from .pseudodet import (
     _det_from_arrays,
     pseudo_det_grouped,
 )
+from .quadrature import integrate
 from .signedlog import SignedLog
 from .specfun import log_factorial
 
@@ -84,8 +93,6 @@ _INF = math.inf
 _MAX_SQUARE_DIM = 8
 _MAX_RECT_EIGS = 6
 _MAX_RECT_KERNEL = 8
-
-_QUAD_OPTS = dict(epsabs=1e-9, epsrel=1e-8, limit=300)
 
 
 def _check_capability(kernel: KernelForm) -> None:
@@ -195,37 +202,115 @@ class SegmentLayout:
 
     def log_order_constant(self) -> float:
         """Log of the combinatorial constant 1 / prod (i_s - i_(s-1) - 1)!."""
-        bounds = (0,) + self.fixed_indices + (self.m + 1,)
-        return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
+        return _log_order_constant(self.m, self.fixed_indices)
 
 
-def _assemble(kernel: KernelForm, keys: Sequence) -> tuple[Tensor3, GroupedPermutationPlan]:
-    """Tensor and exact grouping plan from one slice key per eigenvalue."""
-    n, m = kernel.n, kernel.m
-    signs = np.zeros((n, n, n))
-    logs = np.full((n, n, n), -_INF)
-    positions: dict = {}
+def _log_order_constant(m: int, indices: Sequence[int]) -> float:
+    bounds = (0, *indices, m + 1)
+    return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
+
+
+def _same_key(one, other):
+    """Where two keys name the same slice: one boolean, or one per abscissa
+    set where a key holds vectors; None where they differ in kind or tilt."""
+    segment = isinstance(one, tuple)
+    if segment != isinstance(other, tuple) or (segment and one[2] is not other[2] and one[2] != other[2]):
+        return None
+    if not segment:
+        return np.equal(one, other)
+    return np.equal(one[0], other[0]) & np.equal(one[1], other[1])
+
+
+def _take(key, rows: np.ndarray):
+    """The key at some abscissa sets only."""
+    pick = lambda v: v[rows] if np.ndim(v) else v
+    return (pick(key[0]), pick(key[1]), key[2]) if isinstance(key, tuple) else pick(key)
+
+
+def _slices(kernel: KernelForm, keys: Sequence, count: int) -> list:
+    """The slices of several keys at ``count`` abscissa sets, one stack per
+    key (a single slice for a key with no vector): the point keys fill theirs
+    in one kernel pass, and so do the segment keys of each tilt."""
+    passes: dict = {}
+    for i, key in enumerate(keys):
+        passes.setdefault(key[2] if isinstance(key, tuple) else None, []).append(i)
+    out = [None] * len(keys)
+    for tilt, members in passes.items():
+        if len(members) == 1:
+            out[members[0]] = kernel.slice(keys[members[0]])
+            continue
+        parts = [keys[i][:2] if tilt is not None else (keys[i],) for i in members]
+        ends = np.empty((len(parts[0]), len(members) * count))
+        for j, part in enumerate(parts):
+            for e, value in enumerate(part):
+                ends[e, j * count : (j + 1) * count] = value
+        signs, logs = kernel.slice(ends[0] if tilt is None else (ends[0], ends[1], tilt))
+        for j, i in enumerate(members):
+            out[i] = signs[j * count : (j + 1) * count], logs[j * count : (j + 1) * count]
+    return out
+
+
+def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> list:
+    """The operator over one slice key per eigenvalue position, at ``count``
+    abscissa sets: a point key is an abscissa or a vector of them, one per
+    set, and either end of a segment key may be such a vector.  Returns one
+    signed-log value per set.
+
+    Positions whose keys are equal form one group: scalar keys are compared
+    by value, and keys holding vectors by object, then by value against the
+    other groups.  Keys equal at some sets only split the batch, so that
+    each set is grouped, and evaluated, exactly as alone.
+    """
+    slots: dict = {}
     for k, key in enumerate(keys):
-        positions.setdefault(key, []).append(k)
-    for key, ks in positions.items():
-        ms, ml = kernel.slice(key)
-        signs[:, :, ks] = ms[:, :, None]
-        logs[:, :, ks] = ml[:, :, None]
+        ends = key[:2] if isinstance(key, tuple) else (key,)
+        vectors = isinstance(ends[0], np.ndarray) or isinstance(ends[-1], np.ndarray)
+        slots.setdefault((True, id(key)) if vectors else (False, key), (key, []))[1].append(k)
+    slots = [(key, ks, tag[0]) for tag, (key, ks) in slots.items()]
+    groups = []
+    while slots:
+        key, ks, vectors = slots.pop(0)
+        rest = []
+        for other in slots:
+            same = _same_key(key, other[0]) if vectors or other[2] else None
+            if same is None:
+                rest.append(other)
+            elif same.all():
+                ks = sorted(ks + other[1])
+            elif same.any():
+                out = [None] * count
+                for rows in (np.flatnonzero(same), np.flatnonzero(~same)):
+                    taken = {}
+                    part = [taken.setdefault(id(k), _take(k, rows)) for k in keys]
+                    for r, value in zip(rows, _operator(kernel, part, len(rows), stats)):
+                        out[r] = value
+                return out
+            else:
+                rest.append(other)
+        groups.append((key, ks))
+        slots = rest
+
+    n, m = kernel.n, kernel.m
+    signs = np.zeros((count, n, n, n))
+    logs = np.full((count, n, n, n), -_INF)
+    for (ms, ml), (_, ks) in zip(_slices(kernel, [key for key, _ in groups], count), groups):
+        signs[..., ks] = ms[..., None]
+        logs[..., ks] = ml[..., None]
     const_signs, const_logs = kernel.const_rows
     for k in range(m, n):
-        signs[k:, :, k] = const_signs[k - m]
-        logs[k:, :, k] = const_logs[k - m]
-    groups = tuple(map(tuple, positions.values())) + tuple((k,) for k in range(m, n))
+        signs[:, k:, :, k] = const_signs[k - m]
+        logs[:, k:, :, k] = const_logs[k - m]
+    positions = tuple(tuple(ks) for _, ks in groups) + tuple((k,) for k in range(m, n))
     # one plan per grouping, so that it enumerates its representatives once
-    plan = kernel.memo.get(("plan", groups))
+    plan = kernel.memo.get(("plan", positions))
     if plan is None:
-        plan = kernel.memo[("plan", groups)] = GroupedPermutationPlan(n, groups)
-    return Tensor3(signs, logs), plan
+        plan = kernel.memo[("plan", positions)] = GroupedPermutationPlan(n, positions)
+    return pseudo_det_grouped(Tensor3(signs, logs), plan, stats)
 
 
 def _unordered_value(kernel: KernelForm, keys: Sequence, stats: Optional[EvalStats] = None) -> float:
     """Exchangeable statistic: the operator over ``keys``, divided by M!."""
-    value = pseudo_det_grouped(*_assemble(kernel, keys), stats)
+    (value,) = _operator(kernel, keys, 1, stats)
     scale = kernel.log_k * SignedLog.from_log(-log_factorial(kernel.m))
     return (scale * value).to_float()
 
@@ -233,6 +318,45 @@ def _unordered_value(kernel: KernelForm, keys: Sequence, stats: Optional[EvalSta
 # ---------------------------------------------------------------------------
 # joint and marginal densities
 # ---------------------------------------------------------------------------
+
+
+def _ordered_densities(
+    kernel: KernelForm, indices: Sequence[int], xs: np.ndarray, stats: Optional[EvalStats] = None
+) -> np.ndarray:
+    """Joint density of the ordered eigenvalues at the given ranks, at every
+    row of ``xs`` (one column per rank) in one batched operator call.
+
+    A fixed rank's key is its column of abscissae; the free ranks between two
+    fixed ones share the segment between those columns (``SegmentLayout``).
+    Rows outside the ordered support are 0, as is every row with an infinite
+    abscissa, where all the weights vanish.  A batch holds at most _CHUNK / n
+    rows, so that its tensors hold no more entries than one chunk of the
+    permutation sum's determinants.
+    """
+    lo, hi = kernel.support
+    xs = np.asarray(xs, dtype=float)
+    step = max(1, _CHUNK // kernel.n)
+    if len(xs) > step:
+        return np.concatenate(
+            [_ordered_densities(kernel, indices, xs[i : i + step], stats) for i in range(0, len(xs), step)]
+        )
+    rows = [
+        r for r, row in enumerate(xs.tolist())
+        if all(lo <= v <= hi and abs(v) < _INF for v in row) and all(a >= b for a, b in zip(row, row[1:]))
+    ]
+    out = np.zeros(len(xs))
+    if rows:
+        cols = [xs[rows, j] for j in range(xs.shape[1])]
+        ends = [hi, *cols, lo]
+        segments = [(ends[s + 1], ends[s], IDENTITY_TILT) for s in range(len(cols) + 1)]
+        fixed = dict(zip(indices, cols))
+        keys = [
+            fixed[k] if k in fixed else segments[sum(i < k for i in indices)]
+            for k in range(1, kernel.m + 1)
+        ]
+        scale = SignedLog.from_log(_log_order_constant(kernel.m, indices)) * kernel.log_k
+        out[rows] = [(scale * value).to_float() for value in _operator(kernel, keys, len(rows), stats)]
+    return out
 
 
 def joint_pdf_ordered(
@@ -245,18 +369,7 @@ def joint_pdf_ordered(
     kernel = kernel_form(model)
     _check_capability(kernel)
     layout = SegmentLayout(kernel.m, tuple(indices), tuple(xs), kernel.support)
-    # every weight vanishes at an infinite abscissa
-    if not layout.ordering_holds() or not all(map(math.isfinite, layout.fixed_values)):
-        return 0.0
-    fixed = dict(zip(layout.fixed_indices, layout.fixed_values))
-    keys = [
-        fixed[k] if k in fixed
-        else (*layout.segment_bounds(layout.segment_of(k)), IDENTITY_TILT)
-        for k in range(1, kernel.m + 1)
-    ]
-    value = pseudo_det_grouped(*_assemble(kernel, keys), stats)
-    scale = SignedLog.from_log(layout.log_order_constant()) * kernel.log_k
-    return (scale * value).to_float()
+    return float(_ordered_densities(kernel, layout.fixed_indices, [layout.fixed_values], stats)[0])
 
 
 def pdf_single(
@@ -356,17 +469,17 @@ def _pencil_circles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of ``det[B + t*A; C]`` from its values on circles.
 
-    ``below`` and ``above`` are the m x n signed-log blocks B and A, ``const``
-    the constant rows C.  For each log radius, the determinant is taken at
-    the m+1 points ``t = r * w^k`` (w the (m+1)-th root of unity) in one
-    batched call, and one FFT turns the values into ``coef[j] = c_j r^j /
-    scale`` exactly, because the degree is m.  The values are scaled so that
-    the largest one on each circle has modulus 1, so ``|coef[j]|`` is also
-    the share of the circle's peak that term j carries; ``log scale`` is
-    returned with the coefficients.
+    ``below`` and ``above`` are stacks of the m x n signed-log blocks B and A,
+    one pair per circle, ``const`` the constant rows C.  For each circle's
+    log radius, the determinant is taken at the m+1 points ``t = r * w^k``
+    (w the (m+1)-th root of unity) in one batched call, and one FFT turns the
+    values into ``coef[j] = c_j r^j / scale`` exactly, because the degree is
+    m.  The values are scaled so that the largest one on each circle has
+    modulus 1, so ``|coef[j]|`` is also the share of the circle's peak that
+    term j carries; ``log scale`` is returned with the coefficients.
     """
     (bs, bl), (as_, al), (cs, cl) = below, above, const
-    m = bs.shape[0]
+    m = bs.shape[1]
     count = len(log_radii)
     mags = np.concatenate(
         [np.logaddexp(bl, al + log_radii[:, None, None]), np.broadcast_to(cl, (count,) + cl.shape)],
@@ -392,8 +505,21 @@ def _pencil_circles(
     return coef.real, row.sum(axis=1) + col.sum(axis=1) + peak
 
 
-def _count_distribution(kernel: KernelForm, x: float) -> np.ndarray:
-    """``P(#{eigenvalues > x} = j)`` for j = 0..m, x inside the support.
+def _distinct_radii(log_radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct log radii of every row, flattened row by row, with the
+    row each belongs to and, per entry, the index of its radius."""
+    order = np.argsort(log_radii, axis=1, kind="stable")
+    ordered = np.take_along_axis(log_radii, order, axis=1)
+    new = np.ones(ordered.shape, dtype=bool)
+    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    which = np.empty(order.shape, dtype=np.intp)
+    np.put_along_axis(which, order, np.cumsum(new).reshape(new.shape) - 1, axis=1)
+    return ordered[new], np.nonzero(new)[0], which
+
+
+def _count_distribution(kernel: KernelForm, x) -> np.ndarray:
+    """``P(#{eigenvalues > x} = j)`` for j = 0..m, x inside the support; one
+    row per abscissa for a vector of them.
 
     By the generalized Cauchy-Binet identity behind the operator, with B and
     A the kernel slices over the segments below and above x (their first m
@@ -410,74 +536,108 @@ def _count_distribution(kernel: KernelForm, x: float) -> np.ndarray:
     the others interpolated in log scale, and stop once every term carries
     1/(2(m+1)) of its circle's peak, or after m+2 passes.  A coefficient
     never read above the rounding floor of a circle is zero.
+
+    All abscissae run their passes in lockstep, the circles of a pass in one
+    batched call, and each stops on its own test, so every row is the one
+    its abscissa gives alone.  A batch holds at most as many abscissae as
+    keep a pass within _CHUNK determinants.
     """
+    xs = np.asarray(x, dtype=float)
     lo, hi = kernel.support
-    m = kernel.m
+    m, n = kernel.m, kernel.n
+    count = xs.size
+    flat = xs.reshape(-1)
+    step = max(1, _CHUNK // (m * m))
+    if count > step:
+        return np.concatenate(
+            [_count_distribution(kernel, flat[i : i + step]) for i in range(0, count, step)]
+        )
     const = kernel.const_rows
     below, above = (
-        (s[:m], l[:m]) for s, l in (kernel.slice((lo, x, IDENTITY_TILT)), kernel.slice((x, hi, IDENTITY_TILT)))
+        (s[:, :m], l[:, :m])
+        for s, l in _slices(kernel, [(lo, flat, IDENTITY_TILT), (flat, hi, IDENTITY_TILT)], count)
     )
-    ends = [np.stack([np.concatenate([block[k], const[k]]) for block in (below, above)]) for k in (0, 1)]
+    ends = [
+        np.stack([np.concatenate([block[k], np.broadcast_to(const[k], (count,) + const[k].shape)], axis=1)
+                  for block in (below, above)], axis=1).reshape(2 * count, n, n)
+        for k in (0, 1)
+    ]
     end_signs, end_logs = _batch_det(*ends)
 
-    signs, logs, share = np.zeros(m + 1), np.full(m + 1, -_INF), np.zeros(m + 1)
-    signs[[0, m]], logs[[0, m]] = end_signs, end_logs
-    share[[0, m]] = 1.0
+    signs, logs, share = np.zeros((count, m + 1)), np.full((count, m + 1), -_INF), np.zeros((count, m + 1))
+    signs[:, [0, m]], logs[:, [0, m]] = end_signs.reshape(count, 2), end_logs.reshape(count, 2)
+    share[:, [0, m]] = 1.0
     inner = np.arange(1, m)
-    log_radii = np.zeros(m - 1)
+    log_radii = np.zeros((count, m - 1))
+    live = np.ones(count, dtype=bool)
     for _ in range(m + 2):
-        if share.min() >= 0.5 / (m + 1):
+        live &= share.min(axis=1) < 0.5 / (m + 1)
+        rows = np.flatnonzero(live)
+        if not len(rows):
             break
-        radii, which = np.unique(log_radii, return_inverse=True)
-        coef, scale = _pencil_circles(below, above, const, radii)
+        radii, owner, which = _distinct_radii(log_radii[rows])
+        circles = rows[owner]
+        coef, scale = _pencil_circles(
+            (below[0][circles], below[1][circles]), (above[0][circles], above[1][circles]), const, radii
+        )
         reading = coef[which, inner]
         # below the rounding floor of a circle a reading is no reading
-        better = np.abs(reading) > np.maximum(share[1:m], _NOISE_SHARE)
+        better = np.abs(reading) > np.maximum(share[rows, 1:m], _NOISE_SHARE)
         with np.errstate(divide="ignore"):
-            log_c = np.log(np.abs(reading)) + scale[which] - inner * log_radii
-        logs[1:m] = np.where(better, log_c, logs[1:m])
-        signs[1:m] = np.where(better, np.sign(reading), signs[1:m])
-        share[1:m] = np.maximum(share[1:m], np.abs(reading))
-        trusted = np.flatnonzero((share >= 1e-6) & np.isfinite(logs))
-        if not len(trusted):
-            break
-        guess = np.interp(np.arange(m + 1), trusted, logs[trusted])
-        log_radii = (guess[:-2] - guess[2:]) / 2.0
+            log_c = np.log(np.abs(reading)) + scale[which] - inner * log_radii[rows]
+        logs[rows, 1:m] = np.where(better, log_c, logs[rows, 1:m])
+        signs[rows, 1:m] = np.where(better, np.sign(reading), signs[rows, 1:m])
+        share[rows, 1:m] = np.maximum(share[rows, 1:m], np.abs(reading))
+        trusted = (share[rows] >= 1e-6) & np.isfinite(logs[rows])
+        # every term trusted: the interpolation returns the readings themselves
+        guess = logs[rows]
+        for r in np.flatnonzero(~trusted.all(axis=1)):
+            points = np.flatnonzero(trusted[r])
+            if len(points):
+                guess[r] = np.interp(np.arange(m + 1), points, guess[r, points])
+            else:  # nothing to place the next circles by: this abscissa stops
+                live[rows[r]] = False
+                guess[r] = 0.0
+        log_radii[rows] = (guess[:, :-2] - guess[:, 2:]) / 2.0
     with np.errstate(under="ignore"):
-        return kernel.log_k.sign * signs * np.exp(logs + kernel.log_k.logmag)
+        counts = kernel.log_k.sign * signs * np.exp(logs + kernel.log_k.logmag)
+    return counts.reshape(xs.shape + (m + 1,))
 
 
-def _rank_cdfs(kernel: KernelForm, x: float) -> np.ndarray:
-    """``P(lambda_ell <= x)`` for every rank ell = 1..m at one abscissa.
+def _rank_cdfs(kernel: KernelForm, xs: np.ndarray) -> np.ndarray:
+    """``P(lambda_ell <= x)`` for every rank ell = 1..m, one row per abscissa.
 
     ``F_ell = P(count < ell)``.  Whichever of that sum and its complement
     ``P(count >= ell)`` is smaller is summed from the count distribution, so
     both tails keep the relative accuracy of the coefficients, a resolved
     value lies in [0, 1] with no clipping, and the two sums meet in the
     bulk, where a rounding step is far below the growth of F between grid
-    points.
+    points.  All abscissae inside the support share one count-distribution
+    call.
     """
     lo, hi = kernel.support
-    if x <= lo:
-        return np.zeros(kernel.m)
-    if x >= hi:
-        return np.ones(kernel.m)
-    counts = _count_distribution(kernel, x)
-    below = np.cumsum(counts)[:-1]
-    above = np.cumsum(counts[::-1])[::-1][1:]
-    return np.where(below <= above, below, 1.0 - above)
+    xs = np.asarray(xs, dtype=float)
+    out = np.repeat((xs >= hi).astype(float)[:, None], kernel.m, axis=1)
+    inside = (xs > lo) & (xs < hi)
+    if inside.any():
+        counts = _count_distribution(kernel, xs[inside])
+        below = np.cumsum(counts, axis=1)[:, :-1]
+        above = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        out[inside] = np.where(below <= above, below, 1.0 - above)
+    return out
 
 
-def _resolved_cdf(kernel: KernelForm, ell: int, x: float) -> float:
-    """``P(lambda_ell <= x)``, raising where a tail the kernel slices cannot
-    resolve reads outside [0, 1]."""
-    value = float(_rank_cdfs(kernel, x)[ell - 1])
-    if not 0.0 <= value <= 1.0:
-        raise NumericError(
-            f"P(lambda_{ell} <= {x}) reads {value}: the tail is below the "
-            f"resolution of the kernel slices"
-        )
-    return value
+def _resolved_cdfs(kernel: KernelForm, ell: int, xs: np.ndarray) -> np.ndarray:
+    """``P(lambda_ell <= x)`` at every abscissa, raising where a tail the
+    kernel slices cannot resolve reads outside [0, 1]."""
+    values = _rank_cdfs(kernel, xs)[:, ell - 1]
+    for x, value in zip(np.asarray(xs).tolist(), values.tolist()):
+        if not 0.0 <= value <= 1.0:
+            raise NumericError(
+                f"P(lambda_{ell} <= {x}) reads {value}: the tail is below the "
+                f"resolution of the kernel slices"
+            )
+    return values
 
 
 def cdf_single(model: EnsembleModel, ell: int, x: float) -> float:
@@ -485,17 +645,16 @@ def cdf_single(model: EnsembleModel, ell: int, x: float) -> float:
     kernel = kernel_form(model)
     _check_capability(kernel)
     _check_rank(kernel, ell)
-    return _resolved_cdf(kernel, ell, _check_abscissa(x))
+    return float(_resolved_cdfs(kernel, ell, np.array([_check_abscissa(x)]))[0])
 
 
 def cdf_curve(model: EnsembleModel, ell: int, grid: Sequence[float]) -> np.ndarray:
-    """Distribution function on an ascending grid, one closed-form
-    evaluation per point."""
+    """Distribution function on an ascending grid, every point from one
+    batched count-distribution call."""
     kernel = kernel_form(model)
     _check_capability(kernel)
     _check_rank(kernel, ell)
-    grid = _check_grid(grid)
-    return np.array([_resolved_cdf(kernel, ell, float(x)) for x in grid])
+    return _resolved_cdfs(kernel, ell, _check_grid(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -506,36 +665,47 @@ def cdf_curve(model: EnsembleModel, ell: int, grid: Sequence[float]) -> np.ndarr
 # edges, the inner five become split points
 _CUT_LEVELS = (1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-6)
 _CUT_GRID = 20
+# steps of the bulk-edge ladder evaluated per count-distribution call
+_LADDER_BATCH = 10
+_LADDER_STEPS = 64
 
 
 def _bulk_bracket(kernel: KernelForm) -> tuple:
     """An interval holding every rank's bulk: P(lambda_m <= a) and
     P(lambda_1 > b) are both at most the outer cut level.  Steps out from
     the middle of the support, doubling the distance to an infinite edge and
-    quartering the distance to a finite one."""
+    quartering the distance to a finite one, and takes each side's first
+    passing step; the steps of both sides are evaluated _LADDER_BATCH at a
+    time in one count-distribution call."""
     lo, hi = kernel.support
     tail = _CUT_LEVELS[0]
     if math.isfinite(hi):
         start = (lo + hi) / 2.0
     else:
         start = lo + 1.0 if math.isfinite(lo) else 0.0
-    edges = []
-    for edge, sign, done in (
-        (lo, -1.0, lambda f: f[-1] <= tail),
-        (hi, 1.0, lambda f: f[0] >= 1.0 - tail),
-    ):
-        x, width = start, 1.0
-        for _ in range(64):
+    ladders = []
+    for edge, sign in ((lo, -1.0), (hi, 1.0)):
+        x, width, steps = start, 1.0, []
+        for _ in range(_LADDER_STEPS):
             if math.isfinite(edge):
                 x = edge + (x - edge) / 4.0
             else:
                 x, width = x + sign * width, 2.0 * width
-            if done(_rank_cdfs(kernel, x)):
-                break
-        else:
-            raise NumericError(f"no bulk edge found toward {edge}")
-        edges.append(x)
-    return tuple(edges)
+            steps.append(x)
+        ladders.append(steps)
+    edges = [None, None]
+    for first in range(0, _LADDER_STEPS, _LADDER_BATCH):
+        sides = [side for side in (0, 1) if edges[side] is None]
+        if not sides:
+            return tuple(edges)
+        xs = np.array([x for side in sides for x in ladders[side][first : first + _LADDER_BATCH]])
+        for side, f in zip(sides, _rank_cdfs(kernel, xs).reshape(len(sides), -1, kernel.m)):
+            passed = f[:, -1] <= tail if side == 0 else f[:, 0] >= 1.0 - tail
+            if passed.any():
+                edges[side] = ladders[side][first + int(np.argmax(passed))]
+    if None not in edges:
+        return tuple(edges)
+    raise NumericError(f"no bulk edge found toward {(lo, hi)[edges.index(None)]}")
 
 
 def _marginal_cuts(kernel: KernelForm, ell: int) -> tuple:
@@ -545,12 +715,12 @@ def _marginal_cuts(kernel: KernelForm, ell: int) -> tuple:
     end segment holds a negligible share of a moment's integrand; an end
     segment that starts inside the upper tail costs the adaptive rule more
     subdivisions.  All ranks are placed from one grid of count
-    distributions, kept on the kernel."""
+    distributions, one batched call, kept on the kernel."""
     cuts = kernel.memo.get("marginal_cuts")
     if cuts is None:
         a, b = _bulk_bracket(kernel)
         grid = np.linspace(a, b, _CUT_GRID)
-        table = np.array([_rank_cdfs(kernel, float(x)) for x in grid])
+        table = _rank_cdfs(kernel, grid)
         lo, hi = kernel.support
         cuts = []
         for col in table.T:
@@ -563,38 +733,48 @@ def _marginal_cuts(kernel: KernelForm, ell: int) -> tuple:
     return cuts[ell - 1]
 
 
+_EPSABS, _EPSREL = 1e-9, 1e-8
+_MAX_PANELS = 300
+
+
 def _integrate_marginal(model: EnsembleModel, ell: int, weight: Callable[[float], float]) -> float:
-    """Adaptive integral of ``weight(x) * pdf_single(ell, x)`` over the support.
+    """Integral of ``weight(x) * pdf_single(ell, x)`` over the support by the
+    round-based adaptive Gauss-Kronrod rule of ``quadrature.integrate``.
+
+    The panels start as the pieces between the cuts of the closed-form
+    distribution function (``_marginal_cuts``); an infinite end piece is
+    mapped onto [0, 1) at the scale of the width of the finite piece next
+    to it.  Each round takes the 21 nodes of every new panel to one batched
+    density call (the N = 1 case of which is ``pdf_single``, whose value at
+    a point it is bit for bit, whatever the batch), until the error
+    estimates add up to at most ``max(1e-9, 1e-8 |total|)``; past 300
+    panels it raises ``NumericError``.
 
     The density is the tensor engine's, so the total mass stays an
     independent check of the normalizer that the closed-form distribution
-    functions share.  The adaptive rule's nodes depend on the weight only
-    through its subdivisions, so the densities at the nodes are kept on the
-    kernel and expectations of one marginal (the moments of a ``moments``
-    request) share most of them."""
+    functions share.  The densities at the nodes are kept on the kernel, and
+    since the nodes depend on the weight only through the halvings,
+    expectations of one marginal (the moments of a ``moments`` request)
+    share most of them.  The weight is not asked where the density is 0."""
     kernel = kernel_form(model)
+    _check_capability(kernel)
     _check_rank(kernel, ell)
     lo, hi = kernel.support
     densities = kernel.memo.setdefault(("densities", ell), {})
-
-    def f(x: float) -> float:
-        density = densities.get(x)
-        if density is None:
-            density = densities[x] = pdf_single(model, ell, x)
-        # far out the density underflows to 0 before a growing weight overflows
-        return weight(x) * density if density else 0.0
-
     cuts = [lo] + [e for e in _marginal_cuts(kernel, ell) if lo < e < hi] + [hi]
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            for a, b in zip(cuts, cuts[1:]):
-                val, _ = quad(f, a, b, **_QUAD_OPTS)
-                total += val
-        except IntegrationWarning as exc:
-            raise NumericError(f"marginal quadrature did not converge: {exc}") from exc
-    return total
+    widths = [b - a for a, b in zip(cuts, cuts[1:]) if math.isfinite(b - a)] or [1.0]
+    pieces = [(a, b, widths[0] if a == -_INF else widths[-1]) for a, b in zip(cuts, cuts[1:])]
+
+    def integrand(xs: np.ndarray) -> np.ndarray:
+        nodes = xs.tolist()
+        missing = [v for v in dict.fromkeys(nodes) if v not in densities]
+        if missing:
+            values = _ordered_densities(kernel, (ell,), np.array(missing)[:, None])
+            densities.update(zip(missing, values.tolist()))
+        # far out the density underflows to 0 before a growing weight overflows
+        return np.array([weight(v) * densities[v] if densities[v] else 0.0 for v in nodes])
+
+    return float(integrate(integrand, pieces, _EPSABS, _EPSREL, _MAX_PANELS))
 
 
 def expect_single(model: EnsembleModel, ell: int, fn: Callable[[float], float]) -> float:
@@ -716,7 +896,10 @@ def curve(
     if statistic == "pdf":
         if index is None:
             raise ValueError("statistic 'pdf' needs an eigenvalue index")
-        values = [pdf_single(model, index, float(x)) for x in grid]
+        kernel = kernel_form(model)
+        _check_capability(kernel)
+        _check_rank(kernel, index)
+        values = _ordered_densities(kernel, (index,), grid[:, None])
         meta["indices"] = str(index)
     elif statistic == "cdf":
         if index is None:

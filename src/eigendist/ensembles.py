@@ -9,21 +9,23 @@ and xi is a scalar weight.  The engine only ever needs three things from an
 ensemble: point values of the weighted row products, their integrals over a
 segment of the support, and the constant block.  All three are returned in
 signed-log form, and ``KernelForm.slice`` fills the n x n slice of entries
-at one abscissa or over one segment.
+at one abscissa or over one segment, or the stack of slices at a vector of
+abscissae or over a vector of segments, in one array pass.
 
 The uncorrelated, spiked and correlated Wishart kernels, and the polynomial
 columns of the noncentral one, share one entry rule: each declares in
 ``_entry(i, j)`` a triple (sign, power, scale) for the weighted product
 ``sign * x^power * e^(-x/scale)``, and ``_GammaKernel`` turns the arrays of
-triples into point slices and incomplete-gamma segment slices.  A segment
-slice is gathered from one ``incomplete_gamma_table`` array per distinct
-scale and endpoint.  GUE (Gaussian weight) keeps its own rule but fills its
-slices from the same tables; the noncentral series columns carry a
-confluent series factor, and their segment entries are positive series over
-the same tables, without quadrature.  Beta segments are regularized
-incomplete beta functions.  Tilts with no closed form (callable factors,
-and exponential tilts of the Gaussian and beta weights) integrate the
-kernel's own point slice with one vector quadrature.
+triples into point slices and incomplete-gamma segment slices.  The segment
+slices of a stack are gathered from one ``incomplete_gamma_table`` array
+per distinct scale, with one row per endpoint.  GUE (Gaussian weight) keeps
+its own rule but fills its slices from the same tables; the noncentral
+series columns carry a confluent series factor, and their segment entries
+are positive series over the same tables, without quadrature.  Beta
+segments are regularized incomplete beta functions.  Tilts with no closed
+form (callable factors, and exponential tilts of the Gaussian and beta
+weights) integrate the kernel's own point slices with the batched adaptive
+Gauss-Kronrod rule of ``quadrature``.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad_vec
 from scipy.special import betainc, betaincc, betaln, gammaln
 
 from .errors import ConditioningWarning, InvalidModelError
 from .pseudodet import _det_from_arrays, det_signed_log
+from .quadrature import integrate
 from .signedlog import SignedLog
 from .specfun import (
     falling_factorial,
@@ -66,6 +68,11 @@ __all__ = [
 ]
 
 _INF = math.inf
+# tilted segments without a closed form: relative tolerance of the max norm
+# over the entries, each scaled to its untilted half-segment integral, and
+# the largest number of quadrature panels
+_TILT_EPSREL = 1e-13
+_TILT_PANELS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,7 @@ class Tilt:
 
     Monomial tilts, and exponential tilts of the gamma weights, keep the
     closed forms; a callable, or an exponential tilt of the Gaussian or beta
-    weight, takes the quadrature in ``KernelForm.slice``.
+    weight, takes the quadrature in ``KernelForm._segments``.
     """
 
     power: int = 0
@@ -274,35 +281,64 @@ def _monomial(x: float, p: int) -> SignedLog:
     return SignedLog.from_log(p * math.log(abs(x)), sign)
 
 
-def _gauss_family(s0: float, idx: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and logs of the integrals of ``x^q e^(-x^2)`` over (a, b) for the
-    powers ``q = 2 (s0 + idx) - 1``: even powers for s0 = 1/2, and for s0 = 1
-    odd ones, which flip sign on the negative half-axis."""
-    odd = s0 == 1.0
-    if a >= 0.0:
-        signs, logs = _gamma_segments(s0, idx, a * a, b * b)
-    elif b <= 0.0:
-        signs, logs = _gamma_segments(s0, idx, b * b, a * a)
-        if odd:
-            signs = -signs
-    else:
-        right = _gamma_table(s0, idx, b * b)[1]
-        left = _gamma_table(s0, idx, a * a)[1]
-        if odd:
-            signs, logs = _log_diff(right, left)
-        else:
-            signs, logs = np.ones(idx.shape), np.logaddexp(right, left)
-    return signs, logs + math.log(0.5)
+def _gauss_segments(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of the integrals of ``x^q e^(-x^2)`` over each (a, b).
+
+    u = x^2 maps x^q e^(-x^2) to a gamma weight of shape (q+1)/2: the even
+    powers form the half-integer family, the odd ones the integer family,
+    and either way the shape's index in its family is q // 2; odd powers
+    flip sign on the negative half-axis.  One table pass per family at both
+    limits serves the three cases: a segment right of the origin, one left
+    of it, and one that straddles it."""
+    count = len(a)
+    squares = np.concatenate((a * a, b * b))
+    idx = q // 2
+    # per segment: right of the origin, left of it, or across it
+    side = [0 if lo >= 0.0 else 1 if hi <= 0.0 else 2 for lo, hi in zip(a.tolist(), b.tolist())]
+    family = []
+    for s0 in (0.5, 1.0):
+        upper, lower = _gamma_table(s0, idx, squares)
+        at_a, at_b = (upper[:count], lower[:count]), (upper[count:], lower[count:])
+        cases = {}
+        for case in set(side):
+            if case == 0:
+                cases[case] = _gamma_diff(s0, idx, at_a, at_b, squares[count:])
+            elif case == 1:
+                signs, logs = _gamma_diff(s0, idx, at_b, at_a, squares[:count])
+                cases[case] = (-signs if s0 == 1.0 else signs, logs)
+            elif s0 == 1.0:
+                cases[case] = _log_diff(at_b[1], at_a[1])
+            else:
+                cases[case] = (np.ones(at_a[1].shape), np.logaddexp(at_b[1], at_a[1]))
+        signs, logs = cases.pop(side[0])
+        for case, (case_signs, case_logs) in cases.items():
+            rows = _rows(np.array([s == case for s in side]), idx.ndim)
+            signs, logs = np.where(rows, case_signs, signs), np.where(rows, case_logs, logs)
+        family.append((signs, logs + math.log(0.5)))
+    (even_signs, even_logs), (odd_signs, odd_logs) = family
+    odd_q = q % 2 == 1
+    return np.where(odd_q, odd_signs, even_signs), np.where(odd_q, odd_logs, even_logs)
 
 
 # ---------------------------------------------------------------------------
-# array helpers: whole slices in signed-log form
+# array helpers: whole slices in signed-log form, one row per abscissa
 # ---------------------------------------------------------------------------
 
 
-def _log_pows(x: float, powers: np.ndarray) -> np.ndarray:
-    """Logs of ``x^powers`` for x >= 0, elementwise, with ``0^0 = 1``."""
-    return np.where(powers == 0, 0.0, -_INF) if x == 0.0 else powers * math.log(x)
+def _rows(values: np.ndarray, ndim: int) -> np.ndarray:
+    """A vector with one value per row, shaped to broadcast against rows of
+    ``ndim``-dimensional arrays."""
+    return values.reshape((-1,) + (1,) * ndim)
+
+
+def _log_pows(xs: np.ndarray, powers) -> np.ndarray:
+    """Logs of ``x^powers`` for each x >= 0 of a vector, elementwise, with
+    ``0^0 = 1``: one row per x."""
+    values = xs.tolist()
+    out = powers * _rows(np.array([math.log(v) if v else 0.0 for v in values]), np.ndim(powers))
+    if 0.0 in values:
+        out[xs == 0.0] = np.where(np.equal(powers, 0), 0.0, -_INF)
+    return out
 
 
 def _signed(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,34 +356,44 @@ def _log_diff(l1: np.ndarray, l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _signed(np.where(l1 > l2, 1.0, -1.0), logs)
 
 
-def _gamma_table(s0: float, idx: np.ndarray, y: float) -> tuple[np.ndarray, np.ndarray]:
+def _gamma_table(s0: float, idx: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logs of ``Gamma(s, y)`` and ``gamma(s, y)`` at the shapes ``s = s0 + idx``
-    of an integer index array, from one table of the family."""
+    of an integer index array, one row per limit, from one table of the
+    family."""
     if idx.min() < 0:
         raise ValueError(f"gamma shape must be positive, got {s0 + idx.min()}")
     upper, lower = incomplete_gamma_table(s0, int(idx.max()) + 1, y)
-    return upper[idx], lower[idx]
+    return upper[:, idx], lower[:, idx]
 
 
-def _gamma_segments(
-    s0: float, idx: np.ndarray, ya: float, yb: float
+def _gamma_diff(
+    s0: float, idx: np.ndarray, at_a: tuple, at_b: tuple, yb: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and logs of the integrals of ``t^(s-1) e^(-t)`` over (ya, yb) at
-    the shapes ``s = s0 + idx``: the lower functions' difference where
-    ``yb < s``, the upper functions' difference elsewhere, so that two
-    nearly equal values are never subtracted."""
-    upper_a, lower_a = _gamma_table(s0, idx, ya)
-    upper_b, lower_b = _gamma_table(s0, idx, yb)
-    below = s0 + idx > yb
+    """Signs and logs of the integrals of ``t^(s-1) e^(-t)`` over (ya, yb) from
+    the tables at both limits: the lower functions' difference where
+    ``yb < s``, the upper functions' difference elsewhere, so that two nearly
+    equal values are never subtracted."""
+    (upper_a, lower_a), (upper_b, lower_b) = at_a, at_b
+    below = s0 + idx > _rows(yb, idx.ndim)
     return _log_diff(np.where(below, lower_b, upper_a), np.where(below, lower_a, upper_b))
 
 
-def _beta_segments(p: np.ndarray, q: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _gamma_segments(
+    s0: float, idx: np.ndarray, ya: np.ndarray, yb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of the integrals of ``t^(s-1) e^(-t)`` over each (ya, yb)
+    at the shapes ``s = s0 + idx``, from one table pass at both limits."""
+    count = len(ya)
+    upper, lower = _gamma_table(s0, idx, np.concatenate((ya, yb)))
+    return _gamma_diff(s0, idx, (upper[:count], lower[:count]), (upper[count:], lower[count:]), yb)
+
+
+def _beta_segments(p: np.ndarray, q: float, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signs and logs of the integrals of ``x^(p-1) (1-x)^(q-1)`` over the part
-    of (a, b) inside [0, 1]: the lower regularized incomplete beta functions'
-    difference where b is below the mean ``p / (p + q)``, the upper ones'
-    elsewhere, as in ``_gamma_segments``."""
-    a, b = min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
+    of each (a, b) inside [0, 1]: the lower regularized incomplete beta
+    functions' difference where b is below the mean ``p / (p + q)``, the
+    upper ones' elsewhere, as in ``_gamma_diff``."""
+    a, b = _rows(np.clip(a, 0.0, 1.0), p.ndim), _rows(np.clip(b, 0.0, 1.0), p.ndim)
     with np.errstate(divide="ignore"):
         lower_a, lower_b = np.log(betainc(p, q, a)), np.log(betainc(p, q, b))
         upper_a, upper_b = np.log(betaincc(p, q, a)), np.log(betaincc(p, q, b))
@@ -365,7 +411,9 @@ class KernelForm:
     """Kernel decomposition shared by all ensembles.
 
     Subclasses fill in the row functions, which ``ordered_density`` reads,
-    and the array rule ``slice``, which the engine reads.  ``m`` is the
+    and the array rules ``_points`` and ``_segments`` behind ``slice``,
+    which the engine reads; both take a stack of abscissae or segments and
+    fill one slice per entry.  ``m`` is the
     number of random eigenvalues, ``n >= m`` the kernel dimension; columns
     m+1..n of the second determinant are constants.  ``log_k`` is the
     normalizing constant.
@@ -430,9 +478,34 @@ class KernelForm:
         bare xi * psi_j on the rows past m, at the point or integrated over
         the segment against the tilt.
 
-        Subclasses fill points and closed-form segments and pass here the
-        tilts that have none, which integrate the point slice times the tilt
-        with one vector quadrature.  The tilt is composed in log scale, since
+        The abscissa, or either endpoint, may also be a vector: the slices at
+        every abscissa, or over every segment, come back stacked along a
+        leading axis from one array pass, each equal to its slice filled
+        alone.  Subclasses fill a stack of points (``_points``) and of
+        segments (``_segments``).
+        """
+        if isinstance(key, tuple):
+            a, b, tilt = key
+            self._check_rate(tilt)
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            batched = max(a.ndim, b.ndim)
+            if a.shape != b.shape:
+                a, b = (np.full(b.shape, a), b) if a.ndim == 0 else (a, np.full(a.shape, b))
+            signs, logs = self._segments(a.reshape(-1), b.reshape(-1), tilt)
+        else:
+            xs = np.asarray(key, dtype=float)
+            signs, logs = self._points(xs.reshape(-1))
+            batched = xs.ndim
+        return (signs, logs) if batched else (signs[0], logs[0])
+
+    def _points(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _segments(self, a: np.ndarray, b: np.ndarray, tilt: Tilt) -> tuple[np.ndarray, np.ndarray]:
+        """Segment slices for tilts with no closed form, which integrate the
+        point slice times the tilt with the batched adaptive Gauss-Kronrod
+        rule (``quadrature.integrate``), one quadrature per segment and one
+        point-slice pass per round.  The tilt is composed in log scale, since
         ``e^(rate x)`` alone overflows at far nodes.  Each entry is divided
         by its untilted integral over the half of the segment on the longer
         side of the origin: a closed form with no sign change that holds at
@@ -440,24 +513,31 @@ class KernelForm:
         weight is even).  Under max-norm error control, that gives every
         entry relative accuracy, not only the largest.
         """
-        a, b, tilt = key
-        self._check_rate(tilt)
+        out = [self._tilted_segment(lo, hi, tilt) for lo, hi in zip(a.tolist(), b.tolist())]
+        return np.stack([o[0] for o in out]), np.stack([o[1] for o in out])
+
+    def _tilted_segment(self, a: float, b: float, tilt: Tilt) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = max(a, self.support[0]), min(b, self.support[1])
         if hi <= lo:
             return np.zeros((self.n, self.n)), np.full((self.n, self.n), -_INF)
         half = (max(lo, 0.0), hi) if hi >= -lo else (lo, min(hi, 0.0))
         scale = self.slice((*half, IDENTITY_TILT))[1]
 
-        def f(x: float) -> np.ndarray:
-            signs, logs = self.slice(x)
-            out = signs * np.exp(logs - scale + tilt.rate * x + _log_pow(abs(x), tilt.power))
-            if x < 0.0 and tilt.power % 2:
-                out = -out
+        def f(xs: np.ndarray) -> np.ndarray:
+            signs, logs = self._points(xs)
+            out = signs * np.exp(logs - scale + _rows(tilt.rate * xs + _log_pows(np.abs(xs), tilt.power), 2))
+            if tilt.power % 2:
+                out = np.where(_rows(xs < 0.0, 2), -out, out)
+            if tilt.fn is None:
+                return out
             # far nodes, where every weighted entry underflows, never reach
             # the callable: e^(nu x) there raises OverflowError
-            return out * tilt.fn(x) if tilt.fn is not None and out.any() else out
+            live = out.reshape(len(xs), -1).any(axis=1).tolist()
+            return out * _rows(np.array([tilt.fn(x) if on else 1.0 for x, on in zip(xs.tolist(), live)]), 2)
 
-        val, _ = quad_vec(f, lo, hi, epsabs=0.0, epsrel=1e-12, norm="max")
+        # a segment over the whole line is split at the origin
+        pieces = [(lo, 0.0, 1.0), (0.0, hi, 1.0)] if lo == -_INF and hi == _INF else [(lo, hi, 1.0)]
+        val = integrate(f, pieces, 0.0, _TILT_EPSREL, _TILT_PANELS)
         with np.errstate(divide="ignore"):
             return _signed(np.sign(val), np.log(np.abs(val)) + scale)
 
@@ -485,6 +565,11 @@ class KernelForm:
 class _MonomialSquareKernel(KernelForm):
     """Square kernels whose Phi and Psi rows are plain monomials x^(i-1)."""
 
+    @functools.cached_property
+    def _hankel(self) -> np.ndarray:
+        """The power i + j of entry (i, j), 0-based."""
+        return np.add.outer(np.arange(self.n), np.arange(self.n))
+
     def phi(self, i: int, x: float) -> SignedLog:
         return _monomial(x, i - 1)
 
@@ -496,11 +581,11 @@ class _GammaKernel(KernelForm):
     on (0, inf); subclasses declare that triple in ``_entry``, and segments
     are incomplete gamma functions.
 
-    ``slice`` evaluates the rule on the cached arrays of triples.  A segment
-    slice needs one incomplete-gamma table per distinct scale and endpoint,
-    gathered by power (by i+j for a Hankel kernel).  A monomial or
-    exponential tilt shifts the power or the rate; a callable one takes the
-    quadrature in ``KernelForm.slice``.
+    ``slice`` evaluates the rule on the cached arrays of triples.  A stack of
+    segment slices needs one incomplete-gamma table per distinct scale, with
+    one row per endpoint, gathered by power (by i+j for a Hankel kernel).  A
+    monomial or exponential tilt shifts the power or the rate; a callable
+    one takes the quadrature in ``KernelForm._segments``.
 
     The decay is a scale, not a rate, so the spiked kernel divides by its
     sigmas exactly as given: its permutation sums cancel strongly enough to
@@ -517,24 +602,33 @@ class _GammaKernel(KernelForm):
         table = np.array([[self._entry(i, j) for j in rng] for i in rng], dtype=float)
         return table[..., 0], table[..., 1].astype(int), table[..., 2]
 
-    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def _scale_groups(self) -> tuple:
+        """Per distinct scale: its decay rate, the entries with that scale,
+        and their signs and powers."""
         sign, power, scale = self._entries
-        if not isinstance(key, tuple):
-            return _signed(sign, _log_pows(key, power) - key / scale)
-        a, b, tilt = key
-        if tilt.fn is not None:
-            return super().slice(key)
-        self._check_rate(tilt)
-        a = max(a, 0.0)
-        signs = np.zeros((self.n, self.n))
-        logs = np.full((self.n, self.n), -_INF)
-        for sc in np.unique(scale):
+        groups = []
+        for sc in sorted(set(scale.ravel().tolist())):
             cols = scale == sc
-            rate = 1.0 / sc - tilt.rate
-            q = power[cols] + tilt.power
+            groups.append((1.0 / sc, cols, sign[cols], power[cols]))
+        return tuple(groups)
+
+    def _points(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sign, power, scale = self._entries
+        return _signed(sign, _log_pows(xs, power) - _rows(xs, 2) / scale)
+
+    def _segments(self, a: np.ndarray, b: np.ndarray, tilt: Tilt) -> tuple[np.ndarray, np.ndarray]:
+        if tilt.fn is not None:
+            return super()._segments(a, b, tilt)
+        a = np.maximum(a, 0.0)
+        signs = np.zeros((len(a), self.n, self.n))
+        logs = np.full((len(a), self.n, self.n), -_INF)
+        for inv_scale, cols, sign, power in self._scale_groups:
+            rate = inv_scale - tilt.rate
+            q = power + tilt.power
             ss, sl = _gamma_segments(1.0, q, a * rate, b * rate)
-            signs[cols] = sign[cols] * ss
-            logs[cols] = sl - (q + 1.0) * math.log(rate)
+            signs[:, cols] = sign * ss
+            logs[:, cols] = sl - (q + 1.0) * math.log(rate)
         return _signed(signs, logs)
 
 
@@ -574,22 +668,18 @@ class _GUEKernel(_MonomialSquareKernel):
     def xi(self, x: float) -> SignedLog:
         return SignedLog.from_log(-x * x)
 
-    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
-        q = np.add.outer(np.arange(self.n), np.arange(self.n))
-        if not isinstance(key, tuple):
-            x = key
-            return _signed(np.where((x < 0) & (q % 2 == 1), -1.0, 1.0), _log_pows(abs(x), q) - x * x)
-        a, b, tilt = key
+    @functools.cached_property
+    def _odd(self) -> np.ndarray:
+        return self._hankel % 2 == 1
+
+    def _points(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = _rows(xs, 2)
+        return _signed(np.where((x < 0) & self._odd, -1.0, 1.0), _log_pows(np.abs(xs), self._hankel) - x * x)
+
+    def _segments(self, a: np.ndarray, b: np.ndarray, tilt: Tilt) -> tuple[np.ndarray, np.ndarray]:
         if tilt.fn is not None or tilt.rate != 0.0:
-            return super().slice(key)
-        q = q + tilt.power
-        # u = x^2 maps x^q e^(-x^2) to a gamma weight of shape (q+1)/2: the even
-        # powers form the half-integer family, the odd ones the integer family,
-        # and either way the shape's index in its family is q // 2
-        even = _gauss_family(0.5, q // 2, a, b)
-        odd = _gauss_family(1.0, q // 2, a, b)
-        odd_q = q % 2 == 1
-        return np.where(odd_q, odd[0], even[0]), np.where(odd_q, odd[1], even[1])
+            return super()._segments(a, b, tilt)
+        return _gauss_segments(self._hankel + tilt.power, a, b)
 
 
 class _BetaKernel(_MonomialSquareKernel):
@@ -611,14 +701,17 @@ class _BetaKernel(_MonomialSquareKernel):
     def xi(self, x: float) -> SignedLog:
         return SignedLog.from_log(_log_pow(x, self.model.m) + _log_pow(1.0 - x, self.model.n))
 
-    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
-        q = np.add.outer(np.arange(self.n), np.arange(self.n)) + self.model.m
-        if not isinstance(key, tuple):
-            return _signed(1.0, _log_pows(key, q) + _log_pow(1.0 - key, self.model.n))
-        a, b, tilt = key
+    @functools.cached_property
+    def _q(self) -> np.ndarray:
+        return self._hankel + self.model.m
+
+    def _points(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _signed(1.0, _log_pows(xs, self._q) + _rows(_log_pows(1.0 - xs, self.model.n), 2))
+
+    def _segments(self, a: np.ndarray, b: np.ndarray, tilt: Tilt) -> tuple[np.ndarray, np.ndarray]:
         if tilt.fn is not None or tilt.rate != 0.0:
-            return super().slice(key)
-        return _beta_segments(q + tilt.power + 1.0, self.model.n + 1.0, a, b)
+            return super()._segments(a, b, tilt)
+        return _beta_segments(self._q + tilt.power + 1.0, self.model.n + 1.0, a, b)
 
 
 class _SpikedKernel(_GammaKernel):
@@ -763,36 +856,48 @@ class _NoncentralKernel(_GammaKernel):
     def _entry(self, i: int, j: int) -> tuple:
         return 1, self.model.n + self.model.dim - i - j, 1.0
 
-    def slice(self, key) -> tuple[np.ndarray, np.ndarray]:
-        signs, logs = super().slice(key)
-        if isinstance(key, tuple) and key[2].fn is not None:
-            return signs, logs
+    def _points(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        signs, logs = super()._points(xs)
         r = self.model.rank
-        series = self._series_segment(*key) if isinstance(key, tuple) else self._series_point(key)
-        signs[:, :r], logs[:, :r] = _signed(1.0, series)
+        signs[..., :r], logs[..., :r] = _signed(1.0, self._series_points(xs))
         return signs, logs
 
-    def _series_point(self, x: float) -> np.ndarray:
-        lp = _log_pows(x, self.model.n - np.arange(1, self.n + 1))
-        series = np.array([hyp0f1(self._b0, mu * x).logmag for mu in self.model.mu])
-        return lp[:, None] - x + series[None, :] - self._log_norm
+    def _segments(self, a: np.ndarray, b: np.ndarray, tilt: Tilt) -> tuple[np.ndarray, np.ndarray]:
+        signs, logs = super()._segments(a, b, tilt)
+        if tilt.fn is None:
+            r = self.model.rank
+            signs[..., :r], logs[..., :r] = _signed(1.0, self._series_segments(a, b, tilt))
+        return signs, logs
 
-    def _series_segment(self, a: float, b: float, tilt: Tilt) -> np.ndarray:
+    def _series_points(self, xs: np.ndarray) -> np.ndarray:
+        lp = _log_pows(xs, self.model.n - np.arange(1, self.n + 1))
+        series = np.array([[hyp0f1(self._b0, mu * x).logmag for mu in self.model.mu] for x in xs.tolist()])
+        return lp[:, :, None] - xs[:, None, None] + series.reshape(len(xs), 1, -1) - self._log_norm
+
+    def _series_segments(self, a: np.ndarray, b: np.ndarray, tilt: Tilt) -> np.ndarray:
+        """The series columns over each segment; a segment's series stops at
+        the first doubling of its term count that converges, whichever
+        segments it is summed with."""
         rate = 1.0 - tilt.rate
         q = self.model.n - np.arange(1, self.n + 1) + tilt.power
         log_mu = np.log(self.model.mu)[:, None, None]
+        out = np.empty((len(a), self.n, self.model.rank))
+        todo = np.arange(len(a))
         terms = 32
         while terms <= 4096:
             k = np.arange(terms)
             log_coef = k * log_mu - (gammaln(self._b0 + k) - gammaln(self._b0)) - gammaln(k + 1.0)
             p = q[:, None] + k
-            _, log_int = _gamma_segments(1.0, p, max(a, 0.0) * rate, b * rate)
-            t = log_coef + (log_int - (p + 1.0) * math.log(rate))
+            _, log_int = _gamma_segments(1.0, p, np.maximum(a[todo], 0.0) * rate, b[todo] * rate)
+            t = log_coef + (log_int - (p + 1.0) * math.log(rate))[:, None]
             total = np.logaddexp.reduce(t, axis=-1)
-            if np.all((t[..., -1] <= total - 40.0) & (t[..., -1] <= t[..., -2])):
-                return (total - self._log_norm).T
+            done = np.all((t[..., -1] <= total - 40.0) & (t[..., -1] <= t[..., -2]), axis=(1, 2))
+            out[todo[done]] = (total[done] - self._log_norm).transpose(0, 2, 1)
+            todo = todo[~done]
+            if not len(todo):
+                return out
             terms *= 2
-        raise ArithmeticError(f"noncentral series stalled on ({a}, {b}) with {tilt}")
+        raise ArithmeticError(f"noncentral series stalled on ({a[todo[0]]}, {b[todo[0]]}) with {tilt}")
 
 
 _KERNELS = {

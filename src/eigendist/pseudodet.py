@@ -9,6 +9,11 @@ and the permutation sign by the same transposition parity, so one
 representative per assignment class suffices with a factorial multiplicity
 weight.  All determinants run in sign-tracked log scale with per-row
 rescaling, and the outer sum is merged chunk-by-chunk in a fixed order.
+
+A tensor may carry a leading batch axis, one tensor per abscissa set of a
+statistic: every representative's determinant for all of them runs in one
+stacked ``slogdet``, and each tensor keeps its own chunked sum, so its value
+is the one it has when evaluated alone.
 """
 
 from __future__ import annotations
@@ -39,25 +44,26 @@ _CACHED_REPS = 1024
 
 
 class Tensor3:
-    """Dense rank-3 tensor of signed-log values, indexed 1-based."""
+    """Dense rank-3 tensor of signed-log values, indexed 1-based, or a stack
+    of them along a leading batch axis."""
 
     __slots__ = ("n", "signs", "logs")
 
     def __init__(self, signs: np.ndarray, logs: np.ndarray):
         signs = np.asarray(signs, dtype=np.float64)
         logs = np.asarray(logs, dtype=np.float64)
-        if signs.ndim != 3 or signs.shape != logs.shape:
-            raise ValueError("signs and logs must be equal-shape rank-3 arrays")
-        n = signs.shape[0]
-        if n < 1 or signs.shape != (n, n, n):
+        if signs.ndim not in (3, 4) or signs.shape != logs.shape:
+            raise ValueError("signs and logs must be equal-shape rank-3 arrays or stacks of them")
+        n = signs.shape[-1]
+        if n < 1 or signs.shape[-3:] != (n, n, n):
             raise ValueError(f"tensor must be cubic with dimension >= 1, got {signs.shape}")
         bad = np.isnan(logs) | (logs == np.inf) | np.isnan(signs)
         if bad.any():
-            i, j, k = (int(v) + 1 for v in np.argwhere(bad)[0])
+            i, j, k = (int(v) + 1 for v in np.argwhere(bad)[0][-3:])
             raise NumericError(f"non-finite tensor element at ({i}, {j}, {k})")
         mismatch = (signs == 0) != (logs == -np.inf)
         if mismatch.any():
-            i, j, k = (int(v) + 1 for v in np.argwhere(mismatch)[0])
+            i, j, k = (int(v) + 1 for v in np.argwhere(mismatch)[0][-3:])
             raise NumericError(f"sign/log convention violated at ({i}, {j}, {k})")
         self.n = n
         self.signs = signs
@@ -80,15 +86,15 @@ class EvalStats:
 
 
 def _batch_det(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of a (B, N, N) stack of signed-log matrices."""
-    rowmax = logs.max(axis=2)
+    """Determinants of a (..., N, N) stack of signed-log matrices."""
+    rowmax = logs.max(axis=-1)
     finite = np.isfinite(rowmax)
     shift = np.where(finite, rowmax, 0.0)
     with np.errstate(under="ignore"):
-        resid = signs * np.exp(logs - shift[:, :, None])
+        resid = signs * np.exp(logs - shift[..., None])
     sgn, logdet = np.linalg.slogdet(resid)
-    total = logdet + shift.sum(axis=1)
-    total = np.where(finite.all(axis=1), total, -np.inf)
+    total = logdet + shift.sum(axis=-1)
+    total = np.where(finite.all(axis=-1), total, -np.inf)
     sgn = np.where(np.isfinite(total), sgn, 0.0)
     return sgn, np.where(sgn == 0.0, -np.inf, total)
 
@@ -180,6 +186,14 @@ class GroupedPermutationPlan:
         return self._kept_chunks
 
     @functools.cached_property
+    def _first(self) -> np.ndarray:
+        """The first position of each position's group."""
+        first = np.empty(self.n, dtype=np.intp)
+        for g in self.groups:
+            first[list(g)] = g[0]
+        return first
+
+    @functools.cached_property
     def _kept_chunks(self) -> tuple:
         return tuple(_chunks(_representatives(self.groups, self.n)))
 
@@ -190,11 +204,8 @@ class GroupedPermutationPlan:
             raise InvalidPlanError(
                 f"plan dimension {self.n} does not match tensor dimension {tensor.n}"
             )
-        first = np.empty(self.n, dtype=np.intp)
-        for g in self.groups:
-            first[list(g)] = g[0]
-        ref_s = tensor.signs[:, :, first]
-        ref_l = tensor.logs[:, :, first]
+        ref_s = tensor.signs[..., self._first]
+        ref_l = tensor.logs[..., self._first]
         # equal signs imply both logs finite or both -inf (Tensor3 convention)
         with np.errstate(invalid="ignore"):
             drift = np.abs(tensor.logs - ref_l) > rtol * np.maximum(1.0, np.abs(ref_l))
@@ -203,7 +214,7 @@ class GroupedPermutationPlan:
             (np.isfinite(ref_l) & drift, "varies"),
         ):
             if bad.any():
-                i, j, k = (int(v) for v in np.argwhere(bad)[0])
+                i, j, k = (int(v) for v in np.argwhere(bad)[0][-3:])
                 group = next(g for g in self.groups if k in g)
                 raise InvalidPlanError(
                     f"slice value {what} inside group {group} at ({i + 1}, {j + 1})"
@@ -237,19 +248,6 @@ def _perm_signs(mu_batch: np.ndarray) -> np.ndarray:
     return np.where(inversions % 2 == 0, 1.0, -1.0)
 
 
-def _chunk_terms(
-    tensor: Tensor3, mu_batch: np.ndarray, parity: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    n = tensor.n
-    signs_t = tensor.signs.transpose(2, 0, 1)
-    logs_t = tensor.logs.transpose(2, 0, 1)
-    rows = np.arange(n)[None, :]
-    mats_s = signs_t[rows, mu_batch, :]
-    mats_l = logs_t[rows, mu_batch, :]
-    det_sgn, det_log = _batch_det(mats_s, mats_l)
-    return det_sgn * parity, det_log
-
-
 def _chunks(mu_iter):
     """Permutation chunks of at most _CHUNK rows, each with its parity signs."""
     while True:
@@ -260,26 +258,45 @@ def _chunks(mu_iter):
         yield batch, _perm_signs(batch)
 
 
-def _accumulate(tensor: Tensor3, chunks, stats: EvalStats | None) -> SignedLog:
-    acc = SignedLogSum()
+def _accumulate(tensor: Tensor3, chunks, stats: EvalStats | None) -> list:
+    """One signed sum per tensor of the stack.  Each chunk of permutations
+    runs over as many tensors at once as keep a stacked ``slogdet`` within
+    _CHUNK determinants, and every tensor merges its terms chunk by chunk in
+    the same order as alone."""
+    n = tensor.n
+    stack = tensor.signs.ndim == 4
+    # slice k at first-index mu_k gives row k: index as [tensor, k, i, j]
+    signs_t = (tensor.signs if stack else tensor.signs[None]).transpose(0, 3, 1, 2)
+    logs_t = (tensor.logs if stack else tensor.logs[None]).transpose(0, 3, 1, 2)
+    accs = [SignedLogSum() for _ in range(len(signs_t))]
+    rows = np.arange(n)[None, :]
     for batch, parity in chunks:
-        if stats is not None:
-            stats.determinants += len(batch)
-        s, l = _chunk_terms(tensor, batch, parity)
-        acc.add_terms(s, l)
-    return acc.total()
+        step = max(1, _CHUNK // len(batch))
+        for start in range(0, len(accs), step):
+            part = slice(start, start + step)
+            det_sgn, det_log = _batch_det(signs_t[part, rows, batch], logs_t[part, rows, batch])
+            det_sgn = det_sgn * parity
+            if stats is not None:
+                stats.determinants += det_sgn.size
+            for acc, s, l in zip(accs[part], det_sgn, det_log):
+                acc.add_terms(s, l)
+    totals = [acc.total() for acc in accs]
+    return totals if stack else totals[0]
 
 
-def pseudo_det(tensor: Tensor3, stats: EvalStats | None = None) -> SignedLog:
-    """Full permutation-sum evaluation: one determinant per slice permutation."""
+def pseudo_det(tensor: Tensor3, stats: EvalStats | None = None):
+    """Full permutation-sum evaluation: one determinant per slice permutation.
+    A stack of tensors gives a list of values."""
     mu_iter = (np.asarray(p, dtype=np.intp) for p in itertools.permutations(range(tensor.n)))
     return _accumulate(tensor, _chunks(mu_iter), stats)
 
 
-def pseudo_det_grouped(
-    tensor: Tensor3, plan: GroupedPermutationPlan, stats: EvalStats | None = None
-) -> SignedLog:
-    """Grouped evaluation over class representatives with multiplicity weight."""
+def pseudo_det_grouped(tensor: Tensor3, plan: GroupedPermutationPlan, stats: EvalStats | None = None):
+    """Grouped evaluation over class representatives with multiplicity weight.
+    A stack of tensors gives a list of values, one per tensor."""
     plan.check_against(tensor)
-    total = _accumulate(tensor, plan.chunks(), stats)
-    return total.scaled(float(plan.multiplicity))
+    totals = _accumulate(tensor, plan.chunks(), stats)
+    weight = SignedLog.of(float(plan.multiplicity))
+    if isinstance(totals, list):
+        return [total * weight for total in totals]
+    return totals * weight

@@ -8,7 +8,8 @@ at the usual cancellation-avoidance boundary ``x = s + 1``; two-limit
 differences below the shape take the lower series, so two nearly equal
 upper values are never subtracted.  ``incomplete_gamma_table`` returns both
 functions for every shape of one integer or half-integer family at once, as
-numpy arrays, which is what the kernel slices are filled from.
+numpy arrays, for one limit or a vector of them, which is what the kernel
+slices are filled from.
 """
 
 from __future__ import annotations
@@ -164,9 +165,11 @@ def two_limit_gamma(s: float, x1: float, x2: float) -> SignedLog:
     return upper_incomplete_gamma(s, x1) - upper_incomplete_gamma(s, x2)
 
 
-def incomplete_gamma_table(s0: float, count: int, y: float) -> tuple[np.ndarray, np.ndarray]:
+def incomplete_gamma_table(s0: float, count: int, y) -> tuple[np.ndarray, np.ndarray]:
     """Logs of ``Gamma(s, y)`` and ``gamma(s, y)`` for ``s = s0, s0+1, ...,
     s0+count-1``, where ``s0`` is 1 (integer shapes) or 1/2 (half-integer).
+    ``y`` is one limit, giving two arrays of ``count`` values, or a vector of
+    limits, giving one row per limit.
 
     Both come from the positive series terms ``y^(s0+k) e^(-y) / Gamma(s0+k+1)``.
     The regularized upper function of shape ``s0+n`` is its seed ``Q(s0, y)``
@@ -175,31 +178,55 @@ def incomplete_gamma_table(s0: float, count: int, y: float) -> tuple[np.ndarray,
     tail of the terms from k = n, a backward cumulative sum, where ``y < s``;
     where ``y >= s``, ``Q`` is at most about one half and ``1 - Q`` loses
     nothing.
+
+    The rows share one array pass: a row needs fewer tail terms than the
+    largest limit, and its surplus terms are ``-inf``, which the backward
+    sum passes through exactly, so every row equals its value computed
+    alone.  Rows at the limits 0 and inf are set directly.
     """
     if s0 not in (0.5, 1.0):
         raise ValueError(f"shape family must start at 1/2 or 1, got {s0}")
     if count < 1:
         raise ValueError(f"need at least one shape, got {count}")
-    if not y >= 0.0:
+    ys = np.asarray(y, dtype=float)
+    limits = ys.reshape(-1).tolist()
+    if not all(v >= 0.0 for v in limits):
         raise ValueError(f"gamma limit must be nonnegative, got {y}")
     shapes = s0 + np.arange(count)
     whole = gammaln(shapes)
-    if y == 0.0:
-        return whole, np.full(count, -math.inf)
-    if y == math.inf:
-        return np.full(count, -math.inf), whole
-    below = shapes > y
-    # past the largest shape the terms fall at least like exp(-j^2 / 2y)
-    extra = int(10.0 * math.sqrt(y)) + 40 if below[-1] else 0
-    k = np.arange(count - 1 + extra)
-    terms = (s0 + k) * math.log(y) - y - gammaln(s0 + k + 1.0)
-    seed = -y if s0 == 1.0 else math.log(erfcx(math.sqrt(y))) - y
-    log_q = np.logaddexp.accumulate(np.concatenate(([seed], terms[: count - 1])))
-    log_p = np.empty(count)
-    log_p[~below] = np.log(-np.expm1(log_q[~below]))
-    if extra:
-        log_p[below] = np.logaddexp.accumulate(terms[::-1])[::-1][:count][below]
-    return whole + log_q, whole + log_p
+    inner = [v for v in limits if 0.0 < v < math.inf]
+    if inner:
+        # past the largest shape the terms fall at least like exp(-j^2 / 2y)
+        top = s0 + count - 1
+        extra = [int(10.0 * math.sqrt(v)) + 40 if top > v else 0 for v in inner]
+        width = count - 1 + max(extra)
+        k = s0 + np.arange(width)
+        y = np.array(inner)[:, None]
+        terms = k * np.array([[math.log(v)] for v in inner]) - y - gammaln(k + 1.0)
+        if min(extra) != max(extra):
+            terms[np.arange(width) >= count - 1 + np.array(extra)[:, None]] = -math.inf
+        if s0 == 1.0:
+            seed = -y
+        else:
+            seed = np.array([[math.log(erfcx(math.sqrt(v))) - v] for v in inner])
+        log_q = np.logaddexp.accumulate(np.concatenate((seed, terms[:, : count - 1]), axis=1), axis=1)
+        below = shapes > y
+        log_p = np.log(-np.expm1(np.where(below, -1.0, log_q)))
+        if max(extra):
+            tails = np.logaddexp.accumulate(terms[:, ::-1], axis=1)[:, ::-1][:, :count]
+            log_p = np.where(below, tails, log_p)
+        upper, lower = whole + log_q, whole + log_p
+    if len(inner) < len(limits):
+        # the rows at the limits 0 and inf follow the others
+        none = np.full(count, -math.inf)
+        upper = np.concatenate((upper, (whole, none))) if inner else np.array((whole, none))
+        lower = np.concatenate((lower, (none, whole))) if inner else np.array((none, whole))
+        rows = iter(range(len(inner)))
+        at = [len(inner) if v == 0.0 else len(inner) + 1 if v == math.inf else next(rows) for v in limits]
+        upper, lower = upper[at], lower[at]
+    if ys.ndim == 0:
+        return upper[0], lower[0]
+    return upper, lower
 
 
 def hyp0f1(b: float, z: float) -> SignedLog:

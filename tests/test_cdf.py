@@ -6,15 +6,20 @@ the routes that do not use it: quadrature of the tensor engine's density,
 the interval probabilities, and a sample-free run of the analytic paths.
 """
 
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 import eigendist.montecarlo
 from eigendist.distributions import (
     _count_distribution,
+    _marginal_cuts,
+    _ordered_densities,
+    _rank_cdfs,
     cdf_curve,
     cdf_single,
     curve,
@@ -243,8 +248,13 @@ def test_moments_of_one_marginal_share_node_densities(monkeypatch):
         assert moment_single(model, 2, order) == cold[order - 1]
 
     evaluated = []
-    real = dist.pdf_single
-    monkeypatch.setattr(dist, "pdf_single", lambda *args: evaluated.append(args[2]) or real(*args))
+    real = dist._ordered_densities
+
+    def counting(kernel, indices, xs, stats=None):
+        evaluated.extend(np.asarray(xs)[:, 0].tolist())
+        return real(kernel, indices, xs, stats)
+
+    monkeypatch.setattr(dist, "_ordered_densities", counting)
     kernel_form.cache_clear()
     assert moment_single(model, 2, 0) == pytest.approx(1.0, abs=1e-8)
     first = len(evaluated)
@@ -252,3 +262,111 @@ def test_moments_of_one_marginal_share_node_densities(monkeypatch):
     assert [moment_single(model, 2, order) for order in (1, 2)] == cold
     assert len(evaluated) - first < first / 2
     assert len(set(evaluated)) == len(evaluated)
+
+
+# -- batched abscissae ---------------------------------------------------------------------
+
+# the kernel-rule models of test_ensembles
+MODELS = [case[0] for case in GATE_MODELS[:7]]
+W46 = UncorrelatedWishart(4, 6)
+
+
+def _spread(model, count):
+    lo, hi = kernel_form(model).support
+    if lo == -math.inf:
+        return np.linspace(-2.6, 2.6, count)
+    if hi == 1.0:
+        return np.linspace(0.04, 0.96, count)
+    return np.geomspace(0.1, 14.0, count)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=spec_string)
+def test_batched_values_equal_single_calls(model):
+    # a value does not depend on the batch it is computed in
+    kernel = kernel_form(model)
+    xs = _spread(model, 12)
+    cdfs = _rank_cdfs(kernel, xs)
+    cdfs_reversed = _rank_cdfs(kernel, xs[::-1])[::-1]
+    for ell in range(1, kernel.m + 1):
+        densities = _ordered_densities(kernel, (ell,), xs[:, None])
+        reversed_densities = _ordered_densities(kernel, (ell,), xs[::-1, None])[::-1]
+        for k, x in enumerate(xs.tolist()):
+            assert pdf_single(model, ell, x) == densities[k] == reversed_densities[k], (ell, x)
+            assert cdf_single(model, ell, x) == cdfs[k, ell - 1] == cdfs_reversed[k, ell - 1], (ell, x)
+
+
+def test_batched_pairs_group_ties_as_alone():
+    # a pair of equal abscissae groups its two point slices into one class;
+    # in a batch, that row is evaluated apart from the others
+    kernel = kernel_form(W46)
+    xs = np.array([[5.0, 2.0], [3.0, 3.0], [7.5, 0.5], [4.0, 4.0]])
+    batch = _ordered_densities(kernel, (1, 3), xs)
+    assert list(batch) == [joint_pdf_ordered(W46, (1, 3), tuple(row)) for row in xs.tolist()]
+
+
+def test_marginal_weights_are_asked_only_where_the_density_lives():
+    # far nodes of the mapped infinite end have density 0, where e^(x/2) overflows
+    assert expect_single(W46, 1, lambda x: math.exp(0.5 * x)) == mgf_single(W46, 1, 0.5)
+
+
+def test_nonintegrable_weight_raises():
+    with pytest.raises(NumericError, match="did not converge"):
+        expect_single(W46, 2, lambda x: 1.0 / abs(x - 7.0 - math.pi / 10))
+
+
+@pytest.mark.parametrize("model", [W46, GUE(4), Beta(3, 1, 2)], ids=spec_string)
+def test_pdf_curve_equals_pointwise_densities(model):
+    lo, hi = kernel_form(model).support
+    grid = np.concatenate([[max(lo, -9.0) - 0.5], _spread(model, 9), [min(hi, 40.0)]])
+    for ell in range(1, model.dim + 1):
+        values = curve(model, "pdf", grid, index=ell).values
+        assert list(values) == [pdf_single(model, ell, float(x)) for x in grid], ell
+
+
+# every rank of the cdf_quad benchmark families and a noncentral model, and
+# one rank of a large kernel
+ORACLE_CASES = [
+    (model, ell)
+    for model in (
+        W46,
+        SpikedWishart(3, 5, 12.0, 1.0),
+        GUE(4),
+        CorrelatedWishart(3, 4, (2.2, 0.8), (1, 3)),
+        Beta(3, 1, 2),
+        NoncentralWishart(3, 4, (3.0, 0.5)),
+    )
+    for ell in range(1, model.dim + 1)
+] + [(UncorrelatedWishart(8, 10), 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_density(model, ell, x):
+    return pdf_single(model, ell, x)
+
+
+def _quad_expectation(model, ell, weight):
+    # scalar adaptive quadrature of the density over the same cuts, at the
+    # tolerances of the batched rule
+    kernel = kernel_form(model)
+    lo, hi = kernel.support
+    cuts = [lo] + [e for e in _marginal_cuts(kernel, ell) if lo < e < hi] + [hi]
+
+    def f(x):
+        density = _oracle_density(model, ell, x)
+        return weight(x) * density if density else 0.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        return sum(quad(f, a, b, epsabs=1e-9, epsrel=1e-8, limit=300)[0] for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"{spec_string(c[0])} rank {c[1]}")
+def test_marginal_expectations_match_scalar_quadrature(case):
+    model, ell = case
+    mass = moment_single(model, ell, 0)
+    assert mass == pytest.approx(_quad_expectation(model, ell, lambda x: 1.0), rel=0.0, abs=1e-9)
+    for order in (1, 2):
+        want = _quad_expectation(model, ell, lambda x: x**order)
+        assert moment_single(model, ell, order) == pytest.approx(want, rel=1e-9, abs=0.0), order
+    want = _quad_expectation(model, ell, lambda x: math.exp(-0.3 * x))
+    assert mgf_single(model, ell, -0.3) == pytest.approx(want, rel=1e-9, abs=0.0)
