@@ -436,6 +436,7 @@ def prob_all_in(
     """
     kernel = kernel_form(model)
     _check_capability(kernel)
+    a, b = _check_abscissa(a), _check_abscissa(b)
     if a >= b:
         raise ValueError(f"inverted interval [{a}, {b}]")
     lo = max(a, kernel.support[0])

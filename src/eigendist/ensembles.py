@@ -5,12 +5,15 @@ Each supported ensemble factors its ordered joint eigenvalue density as
     K * |Phi(x)| * |Psi(x)| * prod_i xi(x_i)
 
 where Phi is m x m, Psi is n x n with n >= m (columns past m are constants),
-and xi is a scalar weight.  The engine only ever needs three things from an
-ensemble: point values of the weighted row products, their integrals over a
-segment of the support, and the constant block.  All three are returned in
-signed-log form, and ``KernelForm.slice`` fills the n x n slice of entries
+and xi is a scalar weight.  Every kernel is described by array rules, all
+in signed-log form: ``KernelForm.rows`` gives Phi, Psi and xi at a vector
+of abscissae, ``const_rows`` the constant block C, and the slice rules fill
+the weighted row products.  ``ordered_density`` reads the rows directly as
+``K * det Phi * det[Psi | C^T] * prod xi``.  The engine reads the slices and
+the constant block: ``KernelForm.slice`` fills the n x n slice of entries
 at one abscissa or over one segment, or the stack of slices at a vector of
-abscissae or over a vector of segments, in one array pass.
+abscissae or over a vector of segments, in one array pass.  The rows and
+the slices do not call each other, so each checks the other.
 
 The uncorrelated, spiked and correlated Wishart kernels, and the polynomial
 columns of the noncentral one, share one entry rule: each declares in
@@ -40,15 +43,10 @@ import numpy as np
 from scipy.special import betainc, betaincc, betaln, gammaln
 
 from .errors import ConditioningWarning, InvalidModelError
-from .pseudodet import _det_from_arrays, det_signed_log
+from .pseudodet import _batch_det, _det_from_arrays
 from .quadrature import integrate
 from .signedlog import SignedLog
-from .specfun import (
-    falling_factorial,
-    hyp0f1,
-    incomplete_gamma_table,
-    log_factorial,
-)
+from .specfun import hyp0f1, incomplete_gamma_table, log_factorial
 
 __all__ = [
     "UncorrelatedWishart",
@@ -259,68 +257,6 @@ IDENTITY_TILT = Tilt()
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers
-# ---------------------------------------------------------------------------
-
-
-def _log_pow(x: float, p: float) -> float:
-    if p == 0:
-        return 0.0
-    if x == 0.0:
-        return -_INF
-    return p * math.log(x)
-
-
-def _monomial(x: float, p: int) -> SignedLog:
-    """Signed-log ``x^p`` valid on the whole real axis."""
-    if p == 0:
-        return SignedLog.one()
-    if x == 0.0:
-        return SignedLog.zero()
-    sign = -1 if (x < 0 and p % 2) else 1
-    return SignedLog.from_log(p * math.log(abs(x)), sign)
-
-
-def _gauss_segments(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and logs of the integrals of ``x^q e^(-x^2)`` over each (a, b).
-
-    u = x^2 maps x^q e^(-x^2) to a gamma weight of shape (q+1)/2: the even
-    powers form the half-integer family, the odd ones the integer family,
-    and either way the shape's index in its family is q // 2; odd powers
-    flip sign on the negative half-axis.  One table pass per family at both
-    limits serves the three cases: a segment right of the origin, one left
-    of it, and one that straddles it."""
-    count = len(a)
-    squares = np.concatenate((a * a, b * b))
-    idx = q // 2
-    # per segment: right of the origin, left of it, or across it
-    side = [0 if lo >= 0.0 else 1 if hi <= 0.0 else 2 for lo, hi in zip(a.tolist(), b.tolist())]
-    family = []
-    for s0 in (0.5, 1.0):
-        upper, lower = _gamma_table(s0, idx, squares)
-        at_a, at_b = (upper[:count], lower[:count]), (upper[count:], lower[count:])
-        cases = {}
-        for case in set(side):
-            if case == 0:
-                cases[case] = _gamma_diff(s0, idx, at_a, at_b, squares[count:])
-            elif case == 1:
-                signs, logs = _gamma_diff(s0, idx, at_b, at_a, squares[:count])
-                cases[case] = (-signs if s0 == 1.0 else signs, logs)
-            elif s0 == 1.0:
-                cases[case] = _log_diff(at_b[1], at_a[1])
-            else:
-                cases[case] = (np.ones(at_a[1].shape), np.logaddexp(at_b[1], at_a[1]))
-        signs, logs = cases.pop(side[0])
-        for case, (case_signs, case_logs) in cases.items():
-            rows = _rows(np.array([s == case for s in side]), idx.ndim)
-            signs, logs = np.where(rows, case_signs, signs), np.where(rows, case_logs, logs)
-        family.append((signs, logs + math.log(0.5)))
-    (even_signs, even_logs), (odd_signs, odd_logs) = family
-    odd_q = q % 2 == 1
-    return np.where(odd_q, odd_signs, even_signs), np.where(odd_q, odd_logs, even_logs)
-
-
-# ---------------------------------------------------------------------------
 # array helpers: whole slices in signed-log form, one row per abscissa
 # ---------------------------------------------------------------------------
 
@@ -344,6 +280,13 @@ def _log_pows(xs: np.ndarray, powers) -> np.ndarray:
 def _signed(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slice arrays with the signed-log convention: sign 0 exactly at -inf."""
     return np.where(logs == -_INF, 0.0, signs), logs
+
+
+def _power_rows(xs: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of ``x^p`` on the whole real axis, with ``0^0 = 1``: one
+    row per power of an integer vector, one column per abscissa."""
+    signs = np.where(np.outer(powers % 2 == 1, xs < 0.0), -1.0, 1.0)
+    return _signed(signs, _log_pows(np.abs(xs), powers).T)
 
 
 def _log_diff(l1: np.ndarray, l2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,6 +331,45 @@ def _gamma_segments(
     return _gamma_diff(s0, idx, (upper[:count], lower[:count]), (upper[count:], lower[count:]), yb)
 
 
+def _gauss_segments(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and logs of the integrals of ``x^q e^(-x^2)`` over each (a, b).
+
+    u = x^2 maps x^q e^(-x^2) to a gamma weight of shape (q+1)/2: the even
+    powers form the half-integer family, the odd ones the integer family,
+    and either way the shape's index in its family is q // 2; odd powers
+    flip sign on the negative half-axis.  One table pass per family at both
+    limits serves the three cases: a segment right of the origin, one left
+    of it, and one that straddles it."""
+    count = len(a)
+    squares = np.concatenate((a * a, b * b))
+    idx = q // 2
+    # per segment: right of the origin, left of it, or across it
+    side = [0 if lo >= 0.0 else 1 if hi <= 0.0 else 2 for lo, hi in zip(a.tolist(), b.tolist())]
+    family = []
+    for s0 in (0.5, 1.0):
+        upper, lower = _gamma_table(s0, idx, squares)
+        at_a, at_b = (upper[:count], lower[:count]), (upper[count:], lower[count:])
+        cases = {}
+        for case in set(side):
+            if case == 0:
+                cases[case] = _gamma_diff(s0, idx, at_a, at_b, squares[count:])
+            elif case == 1:
+                signs, logs = _gamma_diff(s0, idx, at_b, at_a, squares[:count])
+                cases[case] = (-signs if s0 == 1.0 else signs, logs)
+            elif s0 == 1.0:
+                cases[case] = _log_diff(at_b[1], at_a[1])
+            else:
+                cases[case] = (np.ones(at_a[1].shape), np.logaddexp(at_b[1], at_a[1]))
+        signs, logs = cases.pop(side[0])
+        for case, (case_signs, case_logs) in cases.items():
+            rows = _rows(np.array([s == case for s in side]), idx.ndim)
+            signs, logs = np.where(rows, case_signs, signs), np.where(rows, case_logs, logs)
+        family.append((signs, logs + math.log(0.5)))
+    (even_signs, even_logs), (odd_signs, odd_logs) = family
+    odd_q = q % 2 == 1
+    return np.where(odd_q, odd_signs, even_signs), np.where(odd_q, odd_logs, even_logs)
+
+
 def _beta_segments(p: np.ndarray, q: float, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signs and logs of the integrals of ``x^(p-1) (1-x)^(q-1)`` over the part
     of each (a, b) inside [0, 1]: the lower regularized incomplete beta
@@ -410,13 +392,14 @@ def _beta_segments(p: np.ndarray, q: float, a: np.ndarray, b: np.ndarray) -> tup
 class KernelForm:
     """Kernel decomposition shared by all ensembles.
 
-    Subclasses fill in the row functions, which ``ordered_density`` reads,
-    and the array rules ``_points`` and ``_segments`` behind ``slice``,
-    which the engine reads; both take a stack of abscissae or segments and
-    fill one slice per entry.  ``m`` is the
-    number of random eigenvalues, ``n >= m`` the kernel dimension; columns
-    m+1..n of the second determinant are constants.  ``log_k`` is the
-    normalizing constant.
+    A kernel is described twice, by two independent array rules.  ``rows``
+    gives Phi, Psi and xi at a vector of abscissae, and ``const_rows`` the
+    constant block; ``ordered_density`` reads them.  ``_points`` and
+    ``_segments``, behind ``slice``, fill the weighted row products at a
+    stack of abscissae or over a stack of segments; the engine reads them.
+    ``m`` is the number of random eigenvalues, ``n >= m`` the kernel
+    dimension; columns m+1..n of the second determinant are constants.
+    ``log_k`` is the normalizing constant.
     """
 
     model: EnsembleModel
@@ -428,32 +411,18 @@ class KernelForm:
     # faster than any exponential
     max_exp_rate: float = _INF
 
-    # -- row functions ------------------------------------------------------
+    # -- row rule: Phi, Psi and xi at a vector of abscissae --------------------
 
-    def phi(self, i: int, x: float) -> SignedLog:
+    def rows(self, xs: np.ndarray) -> tuple:
+        """Phi (m x L) and Psi (n x L) as pairs of sign and log arrays, and the
+        logs of xi (L), at a vector of L abscissae inside the support."""
         raise NotImplementedError
-
-    def psi(self, j: int, x: float) -> SignedLog:
-        raise NotImplementedError
-
-    def xi(self, x: float) -> SignedLog:
-        raise NotImplementedError
-
-    def const(self, j: int, k: int) -> SignedLog:
-        raise ValueError(f"kernel has no constant columns (n == m == {self.m})")
 
     @functools.cached_property
     def const_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Signs and logs of the (n-m) x n constant block: row k-m-1 holds
-        ``const(j, k)`` for j = 1..n, for k = m+1..n."""
-        signs = np.zeros((self.n - self.m, self.n))
-        logs = np.full((self.n - self.m, self.n), -_INF)
-        for k in range(self.m + 1, self.n + 1):
-            for j in range(1, self.n + 1):
-                v = self.const(j, k)
-                signs[k - self.m - 1, j - 1] = v.sign
-                logs[k - self.m - 1, j - 1] = v.logmag
-        return signs, logs
+        """Signs and logs of the (n-m) x n constant block C: row k-m-1 holds
+        column k of the second determinant, for k = m+1..n."""
+        return np.zeros((0, self.n)), np.zeros((0, self.n))
 
     @functools.cached_property
     def memo(self) -> dict:
@@ -544,22 +513,23 @@ class KernelForm:
     # -- direct density -------------------------------------------------------
 
     def ordered_density(self, xs) -> float:
-        """Direct kernel evaluation of the full ordered joint density."""
+        """Direct kernel evaluation of the full ordered joint density,
+        ``K * det Phi * det[Psi | C^T] * prod xi``: 0 outside the support, at
+        an infinite abscissa, or where the values are not nonincreasing."""
         xs = [float(v) for v in xs]
         if len(xs) != self.m:
             raise ValueError(f"expected {self.m} eigenvalues, got {len(xs)}")
-        big_phi = [[self.phi(i, xs[j - 1]) for j in range(1, self.m + 1)] for i in range(1, self.m + 1)]
-        big_psi = [
-            [
-                self.psi(i, xs[j - 1]) if j <= self.m else self.const(i, j)
-                for j in range(1, self.n + 1)
-            ]
-            for i in range(1, self.n + 1)
-        ]
-        out = self.log_k * det_signed_log(big_phi) * det_signed_log(big_psi)
-        for x in xs:
-            out = out * self.xi(x)
-        return out.to_float()
+        if any(math.isnan(v) for v in xs):
+            raise ValueError("abscissa is NaN")
+        lo, hi = self.support
+        if not all(lo <= v <= hi and abs(v) < _INF for v in xs) or any(a < b for a, b in zip(xs, xs[1:])):
+            return 0.0
+        phi, (psi_signs, psi_logs), log_xi = self.rows(np.array(xs))
+        const_signs, const_logs = self.const_rows
+        phi_sign, phi_log = _batch_det(*phi)
+        psi_sign, psi_log = _batch_det(np.hstack((psi_signs, const_signs.T)), np.hstack((psi_logs, const_logs.T)))
+        det = SignedLog.from_log(float(phi_log + psi_log + log_xi.sum()), int(phi_sign * psi_sign))
+        return (self.log_k * det).to_float()
 
 
 class _MonomialSquareKernel(KernelForm):
@@ -569,11 +539,6 @@ class _MonomialSquareKernel(KernelForm):
     def _hankel(self) -> np.ndarray:
         """The power i + j of entry (i, j), 0-based."""
         return np.add.outer(np.arange(self.n), np.arange(self.n))
-
-    def phi(self, i: int, x: float) -> SignedLog:
-        return _monomial(x, i - 1)
-
-    psi = phi
 
 
 class _GammaKernel(KernelForm):
@@ -644,9 +609,9 @@ class _UncorrelatedKernel(_MonomialSquareKernel, _GammaKernel):
         )
         self.log_k = SignedLog.from_log(-log_inv_k)
 
-    def xi(self, x: float) -> SignedLog:
-        power = self.model.n - self.model.dim
-        return SignedLog.from_log(_log_pow(x, power) - x)
+    def rows(self, xs: np.ndarray) -> tuple:
+        monomials = _power_rows(xs, np.arange(self.m))
+        return monomials, monomials, _log_pows(xs, self.model.n - self.model.dim) - xs
 
     def _entry(self, i: int, j: int) -> tuple:
         return 1, i + j + self.model.n - self.model.dim - 2, 1.0
@@ -665,8 +630,9 @@ class _GUEKernel(_MonomialSquareKernel):
         )
         self.log_k = SignedLog.from_log(log_k)
 
-    def xi(self, x: float) -> SignedLog:
-        return SignedLog.from_log(-x * x)
+    def rows(self, xs: np.ndarray) -> tuple:
+        monomials = _power_rows(xs, np.arange(self.m))
+        return monomials, monomials, -xs * xs
 
     @functools.cached_property
     def _odd(self) -> np.ndarray:
@@ -698,8 +664,9 @@ class _BetaKernel(_MonomialSquareKernel):
         )
         self.log_k = SignedLog.from_log(log_factorial(model.dim) - log_s)
 
-    def xi(self, x: float) -> SignedLog:
-        return SignedLog.from_log(_log_pow(x, self.model.m) + _log_pow(1.0 - x, self.model.n))
+    def rows(self, xs: np.ndarray) -> tuple:
+        monomials = _power_rows(xs, np.arange(self.m))
+        return monomials, monomials, _log_pows(xs, self.model.m) + _log_pows(1.0 - xs, self.model.n)
 
     @functools.cached_property
     def _q(self) -> np.ndarray:
@@ -737,17 +704,13 @@ class _SpikedKernel(_GammaKernel):
         )
         self.log_k = SignedLog.from_log(-log_inv_k)
 
-    def phi(self, i: int, x: float) -> SignedLog:
-        sign = -1 if (i - 1) % 2 else 1
-        return SignedLog.from_log(_log_pow(x, i - 1), sign)
-
-    def psi(self, j: int, x: float) -> SignedLog:
-        if j == 1:
-            return SignedLog.from_log(-x / self.model.sigma1)
-        return SignedLog.from_log(_log_pow(x, self.model.dim - j) - x / self.model.sigma2)
-
-    def xi(self, x: float) -> SignedLog:
-        return SignedLog.from_log(_log_pow(x, self.model.n - self.model.dim))
+    def rows(self, xs: np.ndarray) -> tuple:
+        # Phi_i = (-x)^(i-1); Psi_1 = e^(-x/sigma1), Psi_j = x^(m-j) e^(-x/sigma2)
+        m = self.m
+        phi = _signed(np.where(np.arange(m) % 2, -1.0, 1.0)[:, None], _log_pows(xs, np.arange(m)).T)
+        scale = np.array([self.model.sigma1] + [self.model.sigma2] * (m - 1))
+        psi_logs = _log_pows(xs, np.r_[0, m - np.arange(2, m + 1)]).T - xs / scale[:, None]
+        return phi, _signed(1.0, psi_logs), _log_pows(xs, self.model.n - m)
 
     def _entry(self, i: int, j: int) -> tuple:
         sign = -1 if (i - 1) % 2 else 1
@@ -766,14 +729,13 @@ class _CorrelatedKernel(_GammaKernel):
         self.n = model.n
         self.support = (0.0, _INF)
         self.max_exp_rate = model.phi[-1]
-        # group index e(j) and descending offset d(j) per kernel row
-        self._e = []
-        self._d = []
+        # rate phi_e(j) of the group of kernel row j, and its descending
+        # offset d(j) within the group
         bounds = np.cumsum(model.mult)
-        for j in range(1, model.n + 1):
-            g = int(np.searchsorted(bounds, j))
-            self._e.append(g)
-            self._d.append(int(bounds[g]) - j)
+        j = np.arange(1, model.n + 1)
+        group = np.searchsorted(bounds, j)
+        self._rate = np.array(model.phi)[group]
+        self._d = bounds[group] - j
         self.log_k = self._normalizer()
 
     def _normalizer(self) -> SignedLog:
@@ -791,33 +753,26 @@ class _CorrelatedKernel(_GammaKernel):
                 )
         return SignedLog.from_log(log_num - log_den, sign)
 
-    def phi(self, i: int, x: float) -> SignedLog:
-        return SignedLog.from_log(_log_pow(x, i - 1))
+    def rows(self, xs: np.ndarray) -> tuple:
+        # Phi_i = x^(i-1); Psi_j = (-x)^d(j) e^(-rate_j x)
+        logs = _log_pows(xs, self._d).T - np.outer(self._rate, xs)
+        psi = _signed(np.where(self._d % 2, -1.0, 1.0)[:, None], logs)
+        return _power_rows(xs, np.arange(self.m)), psi, _log_pows(xs, self.model.p - self.m)
 
-    def psi(self, j: int, x: float) -> SignedLog:
-        d = self._d[j - 1]
-        rate = self.model.phi[self._e[j - 1]]
-        sign = -1 if d % 2 else 1
-        return SignedLog.from_log(_log_pow(x, d) - rate * x, sign)
-
-    def xi(self, x: float) -> SignedLog:
-        return SignedLog.from_log(_log_pow(x, self.model.p - self.m))
-
-    def const(self, j: int, k: int) -> SignedLog:
-        if not (self.m < k <= self.n):
-            raise ValueError(f"constant column index {k} outside {self.m + 1}..{self.n}")
-        d = self._d[j - 1]
-        rate = self.model.phi[self._e[j - 1]]
-        return falling_factorial(float(self.n - k), d) * SignedLog.from_log(
-            (self.n - k - d) * math.log(rate)
-        )
+    @functools.cached_property
+    def const_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        # column k, row j: the falling factorial (n-k)! / (n-k-d(j))! times
+        # rate_j^(n-k-d(j)); gammaln is +inf at the poles d(j) > n-k, where
+        # the entry is 0
+        a = (self.n - np.arange(self.m + 1, self.n + 1))[:, None]
+        return _signed(1.0, gammaln(a + 1.0) - gammaln(a - self._d + 1.0) + (a - self._d) * np.log(self._rate))
 
     def _entry(self, i: int, j: int) -> tuple:
         # phi_i = x^(i-1) on the random rows, bare xi on the rows past m
         d = self._d[j - 1]
         zeta = i - 1 if i <= self.m else 0
         sign = -1 if d % 2 else 1
-        return sign, self.model.p - self.m + zeta + d, 1.0 / self.model.phi[self._e[j - 1]]
+        return sign, self.model.p - self.m + zeta + d, 1.0 / self._rate[j - 1]
 
 
 class _NoncentralKernel(_GammaKernel):
@@ -841,17 +796,14 @@ class _NoncentralKernel(_GammaKernel):
         # full-support hypercube mass is exactly one
         self.log_k = SignedLog.one() / _det_from_arrays(*self.slice((0.0, _INF, IDENTITY_TILT)))
 
-    def phi(self, i: int, x: float) -> SignedLog:
-        return SignedLog.from_log(_log_pow(x, self.model.dim - i))
-
-    def psi(self, j: int, x: float) -> SignedLog:
-        if j <= self.model.rank:
-            series = hyp0f1(self._b0, self.model.mu[j - 1] * x)
-            return SignedLog.from_log(series.logmag - self._log_norm)
-        return SignedLog.from_log(_log_pow(x, self.model.dim - j))
-
-    def xi(self, x: float) -> SignedLog:
-        return SignedLog.from_log(_log_pow(x, self.model.n - self.model.dim) - x)
+    def rows(self, xs: np.ndarray) -> tuple:
+        # Phi_i = x^(m-i); Psi_j = 0F1(b0; mu_j x) / (n-m)! for j <= rank, x^(m-j) past it
+        r = self.model.rank
+        monomials = _power_rows(xs, self.m - np.arange(1, self.m + 1))
+        psi_signs, psi_logs = _power_rows(xs, self.m - np.arange(1, self.n + 1))
+        series = [[hyp0f1(self._b0, mu * x).logmag for x in xs.tolist()] for mu in self.model.mu]
+        psi_signs[:r], psi_logs[:r] = 1.0, np.array(series) - self._log_norm
+        return monomials, (psi_signs, psi_logs), _log_pows(xs, self.model.n - self.model.dim) - xs
 
     def _entry(self, i: int, j: int) -> tuple:
         return 1, self.model.n + self.model.dim - i - j, 1.0

@@ -1,12 +1,10 @@
 """Special functions returned in signed-log form.
 
 The kernel integrals reduce to upper/lower incomplete gamma functions with
-integer or half-integer shape, their two-limit difference, the confluent
-limit series 0F1, and falling factorials.  All of it is pure.  The scalar
-functions split between series, finite recurrence, and continued fraction
-at the usual cancellation-avoidance boundary ``x = s + 1``; two-limit
-differences below the shape take the lower series, so two nearly equal
-upper values are never subtracted.  ``incomplete_gamma_table`` returns both
+integer or half-integer shape and the confluent limit series 0F1.  All of
+it is pure.  The scalar functions split between series, finite recurrence,
+and continued fraction at the usual cancellation-avoidance boundary
+``x = s + 1``.  ``incomplete_gamma_table`` returns both
 functions for every shape of one integer or half-integer family at once, as
 numpy arrays, for one limit or a vector of them, which is what the kernel
 slices are filled from.
@@ -26,10 +24,8 @@ __all__ = [
     "gamma_whole",
     "upper_incomplete_gamma",
     "lower_incomplete_gamma",
-    "two_limit_gamma",
     "incomplete_gamma_table",
     "hyp0f1",
-    "falling_factorial",
     "log_factorial",
 ]
 
@@ -153,18 +149,6 @@ def lower_incomplete_gamma(s: float, x: float) -> SignedLog:
     return gamma_whole(s) - upper_incomplete_gamma(s, x)
 
 
-def two_limit_gamma(s: float, x1: float, x2: float) -> SignedLog:
-    """Integral of ``t^(s-1) e^(-t)`` over ``(x1, x2)``; negative when x2 < x1."""
-    _check_gamma_args(s, x1)
-    _check_gamma_args(s, x2)
-    if x1 == x2:
-        return SignedLog.zero()
-    if max(x1, x2) < s:
-        # both upper values are close to Gamma(s) here; their difference cancels
-        return _lower_series(s, x2) - _lower_series(s, x1)
-    return upper_incomplete_gamma(s, x1) - upper_incomplete_gamma(s, x2)
-
-
 def incomplete_gamma_table(s0: float, count: int, y) -> tuple[np.ndarray, np.ndarray]:
     """Logs of ``Gamma(s, y)`` and ``gamma(s, y)`` for ``s = s0, s0+1, ...,
     s0+count-1``, where ``s0`` is 1 (integer shapes) or 1/2 (half-integer).
@@ -256,15 +240,3 @@ def hyp0f1(b: float, z: float) -> SignedLog:
             total *= scale
             term *= scale
     raise ArithmeticError(f"0F1 series stalled at b={b}, z={z}")
-
-
-def falling_factorial(a: float, n: int) -> SignedLog:
-    """Product ``a (a-1) ... (a-n+1)``; the empty product is 1."""
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    out = SignedLog.one()
-    for k in range(n):
-        out = out.scaled(a - k)
-        if out.is_zero:
-            break
-    return out

@@ -208,6 +208,13 @@ def test_cdf_limits_at_infinity():
         lambda: curve(W34, "cdf", [1.0, math.nan], index=1),
         lambda: curve(W34, "pdf", [math.nan, 1.0], index=1),
         lambda: curve(W34, "unordered-pdf", [0.5, math.nan]),
+        lambda: prob_all_in(GUE(3), math.nan, 0.25),
+        lambda: prob_all_in(GUE(3), -0.25, math.nan),
+        lambda: prob_all_in(Beta(3, 1, 2), math.nan, 0.5),
+        lambda: prob_all_in(Beta(3, 1, 2), 0.25, math.nan),
+        lambda: prob_all_in(CorrelatedWishart(2, 3, (2.0, 1.0), (1, 2)), math.nan, 0.25),
+        lambda: prob_all_in(CorrelatedWishart(2, 3, (2.0, 1.0), (1, 2)), 0.25, math.nan),
+        lambda: kernel_form(W34).ordered_density((2.0, math.nan, 1.0)),
     ],
 )
 def test_nan_abscissae_rejected(call):

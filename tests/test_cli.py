@@ -155,6 +155,10 @@ def test_exit_codes():
         ["pdf", "--ensemble", "uncorrelated-wishart", "--M", "2", "--n", "2",
          "--index", "1", "--grid", "0:1:1"]
     ) == 2  # degenerate grid
+    assert main(
+        ["prob-interval", "--ensemble", "beta", "--M", "3", "--m", "1", "--n", "2",
+         "--a", "nan", "--b", "0.5"]
+    ) == 2  # NaN endpoint
 
 
 def test_grid_endpoints_inclusive(capsys):

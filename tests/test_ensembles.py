@@ -23,7 +23,12 @@ from eigendist.ensembles import (
     parse_spec,
     spec_string,
 )
-from eigendist.distributions import expect_product_unordered, mgf_unordered, moments_unordered
+from eigendist.distributions import (
+    expect_product_unordered,
+    joint_pdf_ordered,
+    mgf_unordered,
+    moments_unordered,
+)
 from eigendist.errors import ConditioningWarning, InvalidModelError
 from eigendist.signedlog import SignedLog
 
@@ -83,10 +88,14 @@ def _abscissae(support):
     return (0.3, 2.0, 7.5)
 
 
-def _row_product(kernel, i, j, x):
-    # entry (i, j) is phi_i * xi * psi_j, with bare xi on the rows past m
-    row = kernel.phi(i, x) * kernel.xi(x) if i <= kernel.m else kernel.xi(x)
-    return row * kernel.psi(j, x)
+def _row_product(kernel, rows, i, j, col):
+    # entry (i, j) at abscissa ``col`` of ``rows = kernel.rows(xs)`` is
+    # phi_i * xi * psi_j, with bare xi on the rows past m
+    (phi_signs, phi_logs), (psi_signs, psi_logs), log_xi = rows
+    sign, log = psi_signs[j - 1, col], log_xi[col] + psi_logs[j - 1, col]
+    if i <= kernel.m:
+        sign, log = sign * phi_signs[i - 1, col], phi_logs[i - 1, col] + log
+    return SignedLog.from_log(log, sign)
 
 
 def _point_entry(point, i, j, tilt=Tilt()):
@@ -116,11 +125,13 @@ def _quad_entry(kernel, i, j, a, b, tilt=Tilt(), point=None, **opts):
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: spec_string(m))
 def test_point_rule_matches_row_functions(model):
     kernel = kernel_form(model)
-    for x in _abscissae(kernel.support):
+    xs = _abscissae(kernel.support)
+    rows = kernel.rows(np.array(xs))
+    for col, x in enumerate(xs):
         signs, logs = kernel.slice(x)
         for i in range(1, kernel.n + 1):
             for j in range(1, kernel.n + 1):
-                want = _row_product(kernel, i, j, x)
+                want = _row_product(kernel, rows, i, j, col)
                 assert signs[i - 1, j - 1] == want.sign, (i, j, x)
                 assert logs[i - 1, j - 1] == pytest.approx(want.logmag, rel=1e-14), (i, j, x)
 
@@ -182,7 +193,7 @@ def test_slices_match_entry_rules(model):
                     )
                     want = SignedLog.of(value)
                 else:
-                    want = _row_product(kernel, i, j, key)
+                    want = _row_product(kernel, kernel.rows(np.array([key])), i, j, 0)
                 assert signs[i - 1, j - 1] == want.sign, (key, i, j)
                 got = logs[i - 1, j - 1]
                 assert got == pytest.approx(want.logmag, rel=rel, abs=rel), (key, i, j)
@@ -352,7 +363,7 @@ def test_constant_columns_match_hand_values():
     # one distinct inverse-covariance eigenvalue of multiplicity n reduces the
     # constant block to falling factorials of n-k
     model = CorrelatedWishart(2, 4, (2.0,), (4,))
-    table = kernel_form(model)
+    signs, logs = kernel_form(model).const_rows
     # row j has offset d(j) = 4 - j, rate 2; column k in 3..4
     for j in range(1, 5):
         for k in (3, 4):
@@ -362,9 +373,8 @@ def test_constant_columns_match_hand_values():
             for t in range(d):
                 want *= a - t
             want *= 2.0 ** (4 - k - d)
-            assert table.const(j, k).to_float() == pytest.approx(want, rel=1e-13)
-    with pytest.raises(ValueError):
-        table.const(1, 2)  # not a constant column
+            got = signs[k - 3, j - 1] * math.exp(logs[k - 3, j - 1])
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 # -- normalization ---------------------------------------------------------------
@@ -421,6 +431,41 @@ def test_near_identity_correlation_tracks_uncorrelated_cdf():
     for x in np.linspace(0.5, 9.0, 7):
         diff = abs(cdf_single(corr, 1, float(x)) - cdf_single(plain, 1, float(x)))
         assert diff < 1e-2
+
+
+def _density_points(support, m):
+    """Two ordered interior points, then an unordered one, an infinite one
+    and, where the support has a finite end, one just outside it."""
+    lo, hi = support
+    if lo == -math.inf:
+        ordered = [(2.2, 0.4, -1.7), (1.1, -0.3, -0.9)]
+    elif hi == 1.0:
+        ordered = [(0.85, 0.5, 0.15), (0.7, 0.45, 0.3)]
+    else:
+        ordered = [(7.5, 2.0, 0.3), (4.0, 1.2, 0.6)]
+    top = ordered[0][:m]
+    zero = [top[::-1], (math.inf,) + top[1:]]
+    if hi == 1.0:
+        zero.append((1.5,) + top[1:])
+    elif lo == 0.0:
+        zero.append(top[:-1] + (-1.0,))
+    return [p[:m] for p in ordered], zero
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: spec_string(m))
+def test_direct_density_matches_engine(model):
+    # the direct evaluation and the operator agree inside the ordered
+    # support, and are both 0 outside it
+    kernel = kernel_form(model)
+    ranks = tuple(range(1, kernel.m + 1))
+    inside, outside = _density_points(kernel.support, kernel.m)
+    for xs in inside:
+        want = joint_pdf_ordered(model, ranks, xs)
+        assert want > 0.0
+        assert kernel.ordered_density(xs) == pytest.approx(want, rel=1e-11), xs
+    for xs in outside:
+        assert joint_pdf_ordered(model, ranks, xs) == 0.0, xs
+        assert kernel.ordered_density(xs) == 0.0, xs
 
 
 def test_direct_density_formula_m2():

@@ -8,12 +8,10 @@ from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, gammaln
 
 from eigendist.specfun import (
-    falling_factorial,
     gamma_whole,
     hyp0f1,
     incomplete_gamma_table,
     lower_incomplete_gamma,
-    two_limit_gamma,
     upper_incomplete_gamma,
 )
 
@@ -91,42 +89,6 @@ def test_lower_gamma_trivials():
 def test_lower_gamma_vs_quadrature(s, x):
     got = lower_incomplete_gamma(s, x).to_float()
     assert got == pytest.approx(quad_segment_gamma(s, 0.0, x), rel=1e-10)
-
-
-# -- two-limit form ----------------------------------------------------------
-
-
-def test_two_limit_trivials():
-    assert two_limit_gamma(3.0, 1.5, 1.5).sign == 0
-    got = two_limit_gamma(1.0, 0.0, 1.0).to_float()
-    assert got == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
-
-
-def test_two_limit_vs_quadrature():
-    got = two_limit_gamma(5.0, 2.0, 7.0).to_float()
-    assert got == pytest.approx(quad_segment_gamma(5.0, 2.0, 7.0), rel=1e-10)
-
-
-def test_two_limit_sign_flips():
-    fwd = two_limit_gamma(2.0, 1.0, 3.0)
-    rev = two_limit_gamma(2.0, 3.0, 1.0)
-    assert fwd.sign == 1 and rev.sign == -1
-    assert fwd.logmag == pytest.approx(rev.logmag)
-
-
-def lower_gamma_ref(s, x):
-    return math.exp(gammaln(s)) * gammainc(s, x)
-
-
-@pytest.mark.parametrize(
-    "s,x1,x2",
-    [(6.0, 0.0, 0.001), (6.0, 0.0, 0.05), (6.0, 0.001, 0.002), (12.0, 0.5, 3.0), (5.5, 0.0, 0.01)],
-)
-def test_two_limit_below_the_shape(s, x1, x2):
-    # both upper values are close to Gamma(s) here, so their difference cancels
-    got = two_limit_gamma(s, x1, x2).to_float()
-    want = lower_gamma_ref(s, x2) - lower_gamma_ref(s, x1)
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # -- shape-family tables -----------------------------------------------------
@@ -236,18 +198,6 @@ def test_0f1_rejects_bad_args():
         hyp0f1(1.0, -1.0)
 
 
-# -- falling factorial ---------------------------------------------------------
-
-
-def test_falling_factorial():
-    assert falling_factorial(4.2, 0).to_float() == 1.0
-    assert falling_factorial(5.0, 2).to_float() == pytest.approx(20.0)
-    assert falling_factorial(3.0, 5).sign == 0
-    assert falling_factorial(-1.5, 2).to_float() == pytest.approx((-1.5) * (-2.5))
-    with pytest.raises(ValueError):
-        falling_factorial(2.0, -1)
-
-
 # -- argument validation -------------------------------------------------------
 
 
@@ -258,5 +208,3 @@ def test_gamma_rejects_bad_args():
         upper_incomplete_gamma(-1.0, 1.0)
     with pytest.raises(ValueError):
         lower_incomplete_gamma(2.0, -0.5)
-    with pytest.raises(ValueError):
-        two_limit_gamma(2.0, -1.0, 1.0)
