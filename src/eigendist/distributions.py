@@ -5,11 +5,13 @@ sum, and every tensor is built by ``_operator`` from one key per eigenvalue
 position 1..M.  A key is either a point abscissa ``x``, whose slice holds
 the kernel evaluated at ``x``, or a segment ``(a, b, tilt)``, whose slice
 holds the kernel integrated over [a, b] under the tilt factor; the kernel
-itself fills a key's slice (``KernelForm.slice``).  Each distinct key's
-slice is filled once, and all positions sharing a key form one group of the
-permutation plan, also when they are not adjacent; this is exact, because
-equal keys give equal slices.  Slices M+1..N hold the kernel's constant
-columns, one singleton group each.
+itself fills a key's slice (``KernelForm.slice``).  Each key object's slice
+is filled once, and all positions given the same key object form one group
+of the permutation plan, also when they are not adjacent; this is exact,
+because they share one slice.  Slices M+1..N hold the kernel's constant
+columns, one singleton group each.  Tied abscissae never reach the
+operator: two equal eigenvalues make the Vandermonde factor vanish, so
+every density at a tie is exactly 0.
 
 The callers differ only in their keys.  Fixing L of the M ordered
 eigenvalues gives point keys at the fixed ranks and, for each free rank,
@@ -143,11 +145,11 @@ class SegmentLayout:
     """Fixed eigenvalue positions plus the induced integration segments.
 
     ``fixed_indices`` are 1-based ranks in ascending order; ``fixed_values``
-    are the corresponding abscissae, which must be nonincreasing for the
-    density to be nonzero.  Segment s (1-based, up to L+1) covers the free
-    ranks strictly between fixed ranks s-1 and s, and integrates from the
-    value at fixed rank s (or the lower support edge) up to the value at
-    fixed rank s-1 (or the upper support edge).
+    are the corresponding abscissae, which must be strictly decreasing for
+    the density to be nonzero (at a tie it is 0).  Segment s (1-based, up
+    to L+1) covers the free ranks strictly between fixed ranks s-1 and s,
+    and integrates from the value at fixed rank s (or the lower support
+    edge) up to the value at fixed rank s-1 (or the upper support edge).
     """
 
     m: int
@@ -178,7 +180,7 @@ class SegmentLayout:
         vals = self.fixed_values
         if any(not (lo <= v <= hi) for v in vals):
             return False
-        return all(a >= b for a, b in zip(vals, vals[1:]))
+        return all(a > b for a, b in zip(vals, vals[1:]))
 
     def segment_bounds(self, s: int) -> tuple:
         """Integration range of segment ``s`` in 1..L+1."""
@@ -210,23 +212,6 @@ def _log_order_constant(m: int, indices: Sequence[int]) -> float:
     return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
 
 
-def _same_key(one, other):
-    """Where two keys name the same slice: one boolean, or one per abscissa
-    set where a key holds vectors; None where they differ in kind or tilt."""
-    segment = isinstance(one, tuple)
-    if segment != isinstance(other, tuple) or (segment and one[2] is not other[2] and one[2] != other[2]):
-        return None
-    if not segment:
-        return np.equal(one, other)
-    return np.equal(one[0], other[0]) & np.equal(one[1], other[1])
-
-
-def _take(key, rows: np.ndarray):
-    """The key at some abscissa sets only."""
-    pick = lambda v: v[rows] if np.ndim(v) else v
-    return (pick(key[0]), pick(key[1]), key[2]) if isinstance(key, tuple) else pick(key)
-
-
 def _slices(kernel: KernelForm, keys: Sequence, count: int) -> list:
     """The slices of several keys at ``count`` abscissa sets, one stack per
     key (a single slice for a key with no vector): the point keys fill theirs
@@ -256,39 +241,16 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
     set, and either end of a segment key may be such a vector.  Returns one
     signed-log value per set.
 
-    Positions whose keys are equal form one group: scalar keys are compared
-    by value, and keys holding vectors by object, then by value against the
-    other groups.  Keys equal at some sets only split the batch, so that
-    each set is grouped, and evaluated, exactly as alone.
+    Positions given the same key object form one group; no key value is
+    compared, so callers hand one key object to every position of one slice.
+    Equal keys in distinct objects stay apart, which is still exact but
+    costs more determinants.  Tied abscissae would be such keys: callers
+    return their density, exactly 0, without the operator.
     """
-    slots: dict = {}
+    groups: dict = {}
     for k, key in enumerate(keys):
-        ends = key[:2] if isinstance(key, tuple) else (key,)
-        vectors = isinstance(ends[0], np.ndarray) or isinstance(ends[-1], np.ndarray)
-        slots.setdefault((True, id(key)) if vectors else (False, key), (key, []))[1].append(k)
-    slots = [(key, ks, tag[0]) for tag, (key, ks) in slots.items()]
-    groups = []
-    while slots:
-        key, ks, vectors = slots.pop(0)
-        rest = []
-        for other in slots:
-            same = _same_key(key, other[0]) if vectors or other[2] else None
-            if same is None:
-                rest.append(other)
-            elif same.all():
-                ks = sorted(ks + other[1])
-            elif same.any():
-                out = [None] * count
-                for rows in (np.flatnonzero(same), np.flatnonzero(~same)):
-                    taken = {}
-                    part = [taken.setdefault(id(k), _take(k, rows)) for k in keys]
-                    for r, value in zip(rows, _operator(kernel, part, len(rows), stats)):
-                        out[r] = value
-                return out
-            else:
-                rest.append(other)
-        groups.append((key, ks))
-        slots = rest
+        groups.setdefault(id(key), (key, []))[1].append(k)
+    groups = list(groups.values())
 
     n, m = kernel.n, kernel.m
     signs = np.zeros((count, n, n, n))
@@ -328,10 +290,11 @@ def _ordered_densities(
 
     A fixed rank's key is its column of abscissae; the free ranks between two
     fixed ones share the segment between those columns (``SegmentLayout``).
-    Rows outside the ordered support are 0, as is every row with an infinite
-    abscissa, where all the weights vanish.  A batch holds at most _CHUNK / n
-    rows, so that its tensors hold no more entries than one chunk of the
-    permutation sum's determinants.
+    Rows outside the ordered support are 0, among them every row that is not
+    strictly decreasing (at a tie the Vandermonde factor vanishes), as is
+    every row with an infinite abscissa, where all the weights vanish.  A
+    batch holds at most _CHUNK / n rows, so that its tensors hold no more
+    entries than one chunk of the permutation sum's determinants.
     """
     lo, hi = kernel.support
     xs = np.asarray(xs, dtype=float)
@@ -342,7 +305,7 @@ def _ordered_densities(
         )
     rows = [
         r for r, row in enumerate(xs.tolist())
-        if all(lo <= v <= hi and abs(v) < _INF for v in row) and all(a >= b for a, b in zip(row, row[1:]))
+        if all(lo <= v <= hi and abs(v) < _INF for v in row) and all(a > b for a, b in zip(row, row[1:]))
     ]
     out = np.zeros(len(xs))
     if rows:
@@ -389,13 +352,6 @@ def pdf_pair(
     stats: Optional[EvalStats] = None,
 ) -> float:
     """Joint density of the ell-th and s-th largest eigenvalues, s > ell."""
-    kernel = kernel_form(model)
-    if ell >= s:
-        raise ValueError(f"need ell < s, got ell={ell}, s={s}")
-    if not (1 <= ell and s <= kernel.m):
-        raise ValueError(f"ranks ({ell}, {s}) outside 1..{kernel.m}")
-    if x_s > x_ell:
-        return 0.0
     return joint_pdf_ordered(model, (ell, s), (x_ell, x_s), stats)
 
 
@@ -405,7 +361,8 @@ def joint_pdf_unordered(
     xs: Sequence[float],
     stats: Optional[EvalStats] = None,
 ) -> float:
-    """Exchangeable joint density of ``count`` unordered eigenvalues."""
+    """Exchangeable joint density of ``count`` unordered eigenvalues; 0 where
+    two of them are equal."""
     kernel = kernel_form(model)
     _check_capability(kernel)
     m = kernel.m
@@ -415,7 +372,7 @@ def joint_pdf_unordered(
     if len(xs) != count:
         raise ValueError(f"expected {count} abscissae, got {len(xs)}")
     lo, hi = kernel.support
-    if any(not (lo <= v <= hi) or math.isinf(v) for v in xs):
+    if len(set(xs)) < count or any(not (lo <= v <= hi) or math.isinf(v) for v in xs):
         return 0.0
     return _unordered_value(kernel, xs + [(lo, hi, IDENTITY_TILT)] * (m - count), stats)
 
@@ -824,7 +781,9 @@ def expect_product_unordered(model: EnsembleModel, factors: Sequence) -> float:
     if len(tilts) != m:
         raise ValueError(f"expected {m} factors, got {len(tilts)}")
     lo, hi = kernel.support
-    return _unordered_value(kernel, [(lo, hi, tilt) for tilt in tilts])
+    # one key object per distinct factor, so that equal factors form one group
+    keys: dict = {}
+    return _unordered_value(kernel, [keys.setdefault(tilt, (lo, hi, tilt)) for tilt in tilts])
 
 
 def moments_unordered(model: EnsembleModel, orders: Sequence[int]) -> float:

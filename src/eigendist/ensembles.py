@@ -515,14 +515,15 @@ class KernelForm:
     def ordered_density(self, xs) -> float:
         """Direct kernel evaluation of the full ordered joint density,
         ``K * det Phi * det[Psi | C^T] * prod xi``: 0 outside the support, at
-        an infinite abscissa, or where the values are not nonincreasing."""
+        an infinite abscissa, or where the values are not strictly decreasing
+        (at a tie the Vandermonde factor vanishes)."""
         xs = [float(v) for v in xs]
         if len(xs) != self.m:
             raise ValueError(f"expected {self.m} eigenvalues, got {len(xs)}")
         if any(math.isnan(v) for v in xs):
             raise ValueError("abscissa is NaN")
         lo, hi = self.support
-        if not all(lo <= v <= hi and abs(v) < _INF for v in xs) or any(a < b for a, b in zip(xs, xs[1:])):
+        if not all(lo <= v <= hi and abs(v) < _INF for v in xs) or any(a <= b for a, b in zip(xs, xs[1:])):
             return 0.0
         phi, (psi_signs, psi_logs), log_xi = self.rows(np.array(xs))
         const_signs, const_logs = self.const_rows

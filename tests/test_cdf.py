@@ -7,6 +7,7 @@ the interval probabilities, and a sample-free run of the analytic paths.
 """
 
 import functools
+import itertools
 import math
 import warnings
 
@@ -303,12 +304,38 @@ def test_batched_values_equal_single_calls(model):
 
 
 def test_batched_pairs_group_ties_as_alone():
-    # a pair of equal abscissae groups its two point slices into one class;
-    # in a batch, that row is evaluated apart from the others
+    # a row of equal abscissae is a tie, 0 without reaching the operator, and
+    # the other rows are grouped and evaluated exactly as alone
     kernel = kernel_form(W46)
     xs = np.array([[5.0, 2.0], [3.0, 3.0], [7.5, 0.5], [4.0, 4.0]])
     batch = _ordered_densities(kernel, (1, 3), xs)
     assert list(batch) == [joint_pdf_ordered(W46, (1, 3), tuple(row)) for row in xs.tolist()]
+
+
+@pytest.mark.parametrize("model", MODELS + [SpikedWishart(6, 10, 10.0, 1.0)], ids=spec_string)
+def test_ties_are_exact_zeros(model):
+    # two equal eigenvalues make the Vandermonde factor vanish: every density
+    # at a tie is 0 by rule, alone and as a row of a batch, whose other rows
+    # keep the values of their single calls
+    kernel = kernel_form(model)
+    m = kernel.m
+    xs = _spread(model, m + 2)[::-1].tolist()
+    x = xs[1]
+    for pair in itertools.combinations(range(1, m + 1), 2):
+        assert pdf_pair(model, *pair, x, x) == 0.0, pair
+        rows = [(xs[0], xs[2]), (x, x), (x, xs[3])]
+        batch = _ordered_densities(kernel, pair, np.array(rows))
+        assert list(batch) == [pdf_pair(model, *pair, *row) for row in rows], pair
+        assert batch[1] == 0.0 and batch[0] != 0.0, pair
+    ranks = tuple(range(1, m + 1))
+    tied = xs[:m]
+    tied[m // 2] = tied[m // 2 - 1]
+    rows = [xs[:m], tied, xs[1 : m + 1]]
+    batch = _ordered_densities(kernel, ranks, np.array(rows))
+    assert list(batch) == [joint_pdf_ordered(model, ranks, row) for row in rows]
+    assert batch[1] == 0.0 and batch[0] != 0.0
+    assert kernel.ordered_density(tied) == 0.0
+    assert joint_pdf_unordered(model, 2, (x, x)) == 0.0
 
 
 def test_marginal_weights_are_asked_only_where_the_density_lives():

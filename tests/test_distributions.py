@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import dblquad, quad, tplquad
 from scipy.special import gammainc
 
+import eigendist.distributions as dist
 from eigendist.distributions import (
     CurveGrid,
     SegmentLayout,
@@ -90,6 +91,8 @@ def test_layout_ordering_detection():
     assert lay.ordering_holds()
     lay = SegmentLayout(3, (1,), (-1.0,), (0.0, math.inf))
     assert not lay.ordering_holds()
+    lay = SegmentLayout(3, (1, 2), (2.0, 2.0), (0.0, math.inf))
+    assert not lay.ordering_holds()  # a tie is off the support
 
 
 def test_layout_validation():
@@ -165,7 +168,7 @@ def test_pair_wedge_is_exactly_zero():
 
 def test_pair_tie_vanishes():
     v = pdf_pair(UncorrelatedWishart(4, 5), 1, 2, 3.0, 3.0)
-    assert abs(v) < 1e-12
+    assert v == 0.0
 
 
 def test_pair_index_validation():
@@ -412,6 +415,30 @@ def test_unordered_pdf_grouping_telemetry():
     assert stats.determinants == 12  # 4!/(1! 1! 2!)
 
 
+@pytest.mark.parametrize(
+    "call, groups",
+    [
+        (lambda model: moments_unordered(model, (1, 0, 0, 0)), ((0,), (1, 2, 3))),
+        (lambda model: mgf_unordered(model, (0.1,) * 4), ((0, 1, 2, 3),)),
+        (lambda model: expect_product_unordered(model, [abs, abs, 1, 1]), ((0, 1), (2, 3))),
+    ],
+    ids=["moments", "mgf", "callables"],
+)
+def test_unordered_grouping_by_factor_value(monkeypatch, call, groups):
+    # equal factors arrive as separate objects; they must still share one
+    # slice key, or the plan would take more determinants than it needs
+    plans = []
+    engine = dist.pseudo_det_grouped
+
+    def spy(tensor, plan, stats=None):
+        plans.append(plan)
+        return engine(tensor, plan, stats)
+
+    monkeypatch.setattr(dist, "pseudo_det_grouped", spy)
+    call(UncorrelatedWishart(4, 5))
+    assert [plan.groups for plan in plans] == [groups]
+
+
 def test_pair_grouping_telemetry_with_constant_columns():
     stats = EvalStats()
     cw = CorrelatedWishart(3, 5, (2.0, 1.0), (2, 3))
@@ -429,6 +456,8 @@ def test_capability_errors():
         prob_all_in(GUE(9), -1.0, 1.0)
     with pytest.raises(CapabilityError):
         pdf_single(CorrelatedWishart(7, 9, (2.0, 1.0), (4, 5)), 1, 1.0)
+    with pytest.raises(CapabilityError):
+        pdf_pair(UncorrelatedWishart(9, 12), 1, 2, 1.0, 3.0)  # a wedge point too
 
 
 # -- curves and serialization ----------------------------------------------------------
