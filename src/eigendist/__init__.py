@@ -29,6 +29,7 @@ from .distributions import (
     joint_pdf_ordered,
     pdf_single,
     pdf_pair,
+    pdf_pair_grid,
     prob_all_in,
     cdf_single,
     cdf_curve,

@@ -83,10 +83,10 @@ def _emit_curve(grid_curve: dist.CurveGrid, out) -> None:
 
 
 def _write_surface(fh, model, ell, s, grid1, grid2) -> None:
+    values = dist.pdf_pair_grid(model, ell, s, grid1, grid2)
     fh.write(f"# ensemble={spec_string(model)} statistic=joint-pdf indices={ell},{s}\n")
-    for x1 in grid1:
-        for x2 in grid2:
-            v = dist.pdf_pair(model, ell, s, float(x1), float(x2))
+    for x1, row in zip(grid1, values):
+        for x2, v in zip(grid2, row):
             fh.write(f"{x1:.17g},{x2:.17g},{v:.17g}\n")
 
 

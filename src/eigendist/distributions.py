@@ -76,6 +76,7 @@ __all__ = [
     "joint_pdf_ordered",
     "pdf_single",
     "pdf_pair",
+    "pdf_pair_grid",
     "prob_all_in",
     "cdf_single",
     "cdf_curve",
@@ -353,6 +354,24 @@ def pdf_pair(
 ) -> float:
     """Joint density of the ell-th and s-th largest eigenvalues, s > ell."""
     return joint_pdf_ordered(model, (ell, s), (x_ell, x_s), stats)
+
+
+def pdf_pair_grid(
+    model: EnsembleModel, ell: int, s: int, grid1: Sequence[float], grid2: Sequence[float]
+) -> np.ndarray:
+    """``pdf_pair`` at every point of the product of two ascending grids, in
+    one batched density call: entry [i, j] is the density at (grid1[i],
+    grid2[j]), bit for bit the value ``pdf_pair`` gives alone, so the wedge
+    x_s >= x_ell is exactly 0."""
+    kernel = kernel_form(model)
+    _check_capability(kernel)
+    _check_rank(kernel, ell)
+    _check_rank(kernel, s)
+    if s <= ell:
+        raise ValueError(f"pair ranks must satisfy ell < s, got {ell}, {s}")
+    g1, g2 = _check_grid(grid1), _check_grid(grid2)
+    xs = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
+    return _ordered_densities(kernel, (ell, s), xs).reshape(len(g1), len(g2))
 
 
 def joint_pdf_unordered(

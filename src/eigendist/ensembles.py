@@ -525,11 +525,18 @@ class KernelForm:
         lo, hi = self.support
         if not all(lo <= v <= hi and abs(v) < _INF for v in xs) or any(a <= b for a, b in zip(xs, xs[1:])):
             return 0.0
-        phi, (psi_signs, psi_logs), log_xi = self.rows(np.array(xs))
+        (phi_signs, phi_logs), (psi_signs, psi_logs), log_xi = self.rows(np.array(xs))
         const_signs, const_logs = self.const_rows
-        phi_sign, phi_log = _batch_det(*phi)
-        psi_sign, psi_log = _batch_det(np.hstack((psi_signs, const_signs.T)), np.hstack((psi_logs, const_logs.T)))
-        det = SignedLog.from_log(float(phi_log + psi_log + log_xi.sum()), int(phi_sign * psi_sign))
+        # Phi padded to n x n with an identity block, stacked on [Psi | C^T]:
+        # both determinants in one call
+        m, n = self.m, self.n
+        signs = np.zeros((2, n, n))
+        logs = np.full((2, n, n), -_INF)
+        signs[0, :m, :m], logs[0, :m, :m] = phi_signs, phi_logs
+        signs[0, range(m, n), range(m, n)], logs[0, range(m, n), range(m, n)] = 1.0, 0.0
+        signs[1], logs[1] = np.hstack((psi_signs, const_signs.T)), np.hstack((psi_logs, const_logs.T))
+        det_signs, det_logs = _batch_det(signs, logs)
+        det = SignedLog.from_log(float(det_logs.sum() + log_xi.sum()), int(det_signs.prod()))
         return (self.log_k * det).to_float()
 
 

@@ -1,10 +1,20 @@
 """Monte Carlo ground truth for the analytic engine.
 
-Matrices are drawn directly from each ensemble's defining construction and
-eigendecomposed; empirical distribution functions with binomial error bars
-then gate the analytic curves.  Sampling is chunked, and every chunk gets
-its own counter-based generator stream derived from (seed, chunk index), so
-results are reproducible and independent of how chunks are scheduled.
+GUE, uncorrelated and spiked Wishart spectra are drawn from real symmetric
+tridiagonal matrix models with the same eigenvalue law (the beta = 2 models
+of Dumitriu and Edelman, J. Math. Phys. 43, 2002): Householder reduction of
+the dense complex matrix leaves Gaussian diagonals and chi-distributed
+off-diagonals, so a draw costs O(dim) random numbers instead of dim * n
+complex ones.  The spiked model is exact as ``D B B^T D`` with B the
+uncorrelated bidiagonal factor and ``D = diag(sqrt(sigma1), sqrt(sigma2),
+...)``, because the bidiagonalization's left reflectors never touch row 1
+(Bloemendal and Virag, PTRF 156, 2013).  Correlated, noncentral and Beta
+spectra come from their defining dense complex constructions.  Each stack
+of matrices goes through one batched ``eigvalsh``; empirical distribution
+functions with binomial error bars then gate the analytic curves.
+Sampling is chunked, and every chunk gets its own counter-based generator
+stream derived from (seed, chunk index), so results are reproducible and
+independent of how chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -45,8 +55,38 @@ def _rng_for_chunk(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _cnormal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly symmetric complex normal entries with unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    """Circularly symmetric complex normal entries with unit variance: one
+    real draw of shape (..., 2) read as real and imaginary parts."""
+    parts = rng.standard_normal((*shape, 2))
+    parts *= math.sqrt(0.5)
+    return parts.view(np.complex128)[..., 0]
+
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Stack of real symmetric tridiagonal matrices from a (size, dim) stack
+    of diagonals and a (size, dim-1) stack of off-diagonals."""
+    size, dim = diag.shape
+    t = np.zeros((size, dim, dim))
+    i = np.arange(dim)
+    t[:, i, i] = diag
+    t[:, i[1:], i[:-1]] = off
+    t[:, i[:-1], i[1:]] = off
+    return t
+
+
+def _bidiagonal_gram(rng: np.random.Generator, dim: int, n: int, size: int, scale: np.ndarray) -> np.ndarray:
+    """The stack of tridiagonal ``D B B^T D``: B lower bidiagonal with squared
+    diagonal Gamma(n-i+1, 1), i = 1..dim, and squared subdiagonal
+    Gamma(dim-i, 1), i = 1..dim-1, and ``D^2 = diag(scale)``.  Its spectrum
+    is that of the complex Wishart matrix of dim x n Gaussian rows with
+    variances ``scale``, for a scale equal past its first entry (uncorrelated
+    or spiked)."""
+    d2 = rng.standard_gamma(n - np.arange(dim), size=(size, dim))
+    c2 = rng.standard_gamma(dim - 1 - np.arange(dim - 1), size=(size, dim - 1))
+    diag = d2.copy()
+    diag[:, 1:] += c2
+    off = np.sqrt(c2 * d2[:, :-1])
+    return _tridiagonal(diag * scale, off * np.sqrt(scale[:-1] * scale[1:]))
 
 
 def _eig_desc(mats: np.ndarray, keep: int) -> np.ndarray:
@@ -56,9 +96,7 @@ def _eig_desc(mats: np.ndarray, keep: int) -> np.ndarray:
 
 def _draw_chunk(model: EnsembleModel, size: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(model, UncorrelatedWishart):
-        x = _cnormal(rng, (size, model.dim, model.n))
-        w = x @ x.conj().transpose(0, 2, 1)
-        return _eig_desc(w, model.dim)
+        return _eig_desc(_bidiagonal_gram(rng, model.dim, model.n, size, np.ones(model.dim)), model.dim)
 
     if isinstance(model, CorrelatedWishart):
         # covariance spectrum is the inverse of phi, repeated per multiplicity
@@ -68,10 +106,8 @@ def _draw_chunk(model: EnsembleModel, size: int, rng: np.random.Generator) -> np
         return _eig_desc(w, model.dim)
 
     if isinstance(model, SpikedWishart):
-        scale = np.sqrt(np.r_[model.sigma1, np.full(model.dim - 1, model.sigma2)])
-        x = scale[None, :, None] * _cnormal(rng, (size, model.dim, model.n))
-        w = x @ x.conj().transpose(0, 2, 1)
-        return _eig_desc(w, model.dim)
+        scale = np.r_[model.sigma1, np.full(model.dim - 1, model.sigma2)]
+        return _eig_desc(_bidiagonal_gram(rng, model.dim, model.n, size, scale), model.dim)
 
     if isinstance(model, NoncentralWishart):
         mean = np.zeros((model.dim, model.n))
@@ -82,9 +118,12 @@ def _draw_chunk(model: EnsembleModel, size: int, rng: np.random.Generator) -> np
         return _eig_desc(w, model.dim)
 
     if isinstance(model, GUE):
-        b = _cnormal(rng, (size, model.dim, model.dim))
-        h = (b + b.conj().transpose(0, 2, 1)) / 2.0
-        return _eig_desc(h, model.dim)
+        # weight e^(-tr H^2): diagonal N(0, 1/2), off-diagonal k the norm of
+        # the m-k complex entries below it, each of mean square 1/2
+        diag = rng.standard_normal((size, model.dim)) * math.sqrt(0.5)
+        shapes = model.dim - 1 - np.arange(model.dim - 1)
+        off = np.sqrt(0.5 * rng.standard_gamma(shapes, size=(size, model.dim - 1)))
+        return _eig_desc(_tridiagonal(diag, off), model.dim)
 
     if isinstance(model, Beta):
         # null-case double Wishart: spectrum of (A+B)^(-1) B with the B factor

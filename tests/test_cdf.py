@@ -30,6 +30,7 @@ from eigendist.distributions import (
     mgf_single,
     moment_single,
     pdf_pair,
+    pdf_pair_grid,
     pdf_single,
     prob_all_in,
 )
@@ -43,7 +44,7 @@ from eigendist.ensembles import (
     kernel_form,
     spec_string,
 )
-from eigendist.errors import NumericError
+from eigendist.errors import CapabilityError, NumericError
 
 # the kernel-rule models of test_ensembles, then larger and rectangular ones,
 # each with three bulk abscissae and a deep lower and upper tail point
@@ -310,6 +311,33 @@ def test_batched_pairs_group_ties_as_alone():
     xs = np.array([[5.0, 2.0], [3.0, 3.0], [7.5, 0.5], [4.0, 4.0]])
     batch = _ordered_densities(kernel, (1, 3), xs)
     assert list(batch) == [joint_pdf_ordered(W46, (1, 3), tuple(row)) for row in xs.tolist()]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=spec_string)
+def test_pair_grid_is_one_batch_of_single_calls(model):
+    # a surface is one batch: every entry is its pdf_pair value bit for bit,
+    # so the wedge x_s >= x_ell, diagonal included, is exactly 0
+    m = kernel_form(model).m
+    grid = _spread(model, 6)
+    for ell, s in ((1, 2), (1, m)):
+        surface = pdf_pair_grid(model, ell, s, grid, grid[1:])
+        assert surface.shape == (6, 5)
+        for i, x1 in enumerate(grid.tolist()):
+            for j, x2 in enumerate(grid[1:].tolist()):
+                assert surface[i, j] == pdf_pair(model, ell, s, x1, x2), (ell, s, x1, x2)
+                assert (surface[i, j] == 0.0) == (x2 >= x1), (ell, s, x1, x2)
+
+
+def test_pair_grid_validation():
+    grid = [1.0, 2.0]
+    for ell, s in ((2, 1), (2, 2), (0, 2), (1, 5)):
+        with pytest.raises(ValueError):
+            pdf_pair_grid(W46, ell, s, grid, grid)
+    for bad in ([2.0, 1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            pdf_pair_grid(W46, 1, 2, grid, bad)
+    with pytest.raises(CapabilityError):
+        pdf_pair_grid(UncorrelatedWishart(9, 12), 1, 2, grid, grid)
 
 
 @pytest.mark.parametrize("model", MODELS + [SpikedWishart(6, 10, 10.0, 1.0)], ids=spec_string)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import expon, ks_2samp, kstest, norm
 
 from eigendist.distributions import CurveGrid, curve
 from eigendist.ensembles import (
@@ -32,6 +33,69 @@ TRACE_MODELS = [
     NoncentralWishart(2, 3, (2.0,)),
     GUE(3),
 ]
+
+
+# GUE, uncorrelated and spiked Wishart are sampled from tridiagonal models;
+# these are the shapes the two-sample check runs, edge shapes included
+TRIDIAGONAL_MODELS = [
+    GUE(1),
+    GUE(3),
+    GUE(6),
+    UncorrelatedWishart(1, 1),
+    UncorrelatedWishart(3, 5),
+    UncorrelatedWishart(4, 4),
+    SpikedWishart(3, 4, 10.0, 1.0),
+    SpikedWishart(4, 4, 3.0, 1.0),
+]
+
+
+def _dense_spectra(model, count, seed):
+    """Descending spectra from each model's defining dense complex matrix:
+    GUE as (B + B^H)/2, Wishart as X X^H with row variances 1 (uncorrelated)
+    or (sigma1, sigma2, ...) (spiked), B and X with unit-variance circular
+    complex Gaussian entries."""
+    rng = np.random.default_rng(seed)
+
+    def cnormal(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+    if isinstance(model, GUE):
+        b = cnormal((count, model.dim, model.dim))
+        mats = (b + b.conj().transpose(0, 2, 1)) / 2.0
+    else:
+        rows = np.ones(model.dim)
+        if isinstance(model, SpikedWishart):
+            rows = np.r_[model.sigma1, np.full(model.dim - 1, model.sigma2)]
+        x = np.sqrt(rows)[None, :, None] * cnormal((count, model.dim, model.n))
+        mats = x @ x.conj().transpose(0, 2, 1)
+    return np.linalg.eigvalsh(mats)[:, ::-1]
+
+
+@pytest.mark.parametrize("model", TRIDIAGONAL_MODELS, ids=lambda m: spec_string(m))
+def test_tridiagonal_matches_dense_construction(model):
+    tridiagonal = sample(model, 50_000, seed=31).eigenvalues
+    dense = _dense_spectra(model, 50_000, seed=32)
+    for ell in range(model.dim):
+        p = ks_2samp(tridiagonal[:, ell], dense[:, ell]).pvalue
+        assert p > 1e-3, f"ell={ell + 1}: two-sample KS p = {p:.2e}"
+
+
+@pytest.mark.parametrize("model", TRIDIAGONAL_MODELS, ids=lambda m: spec_string(m))
+def test_tridiagonal_edge_shapes(model):
+    eigs = sample(model, 40_000, seed=6).eigenvalues  # spans two chunks
+    assert eigs.shape == (40_000, model.dim)
+    assert np.all(np.isfinite(eigs))
+    assert np.all(np.diff(eigs, axis=1) <= 0)
+    if not isinstance(model, GUE):
+        assert np.all(eigs >= 0)
+
+
+def test_one_eigenvalue_laws():
+    # GUE(1) under e^(-x^2) is N(0, 1/2); UncorrelatedWishart(1, 1) is Exp(1)
+    gue = sample(GUE(1), 50_000, seed=33).eigenvalues[:, 0]
+    assert kstest(gue, norm(scale=math.sqrt(0.5)).cdf).pvalue > 1e-3
+    wishart = sample(UncorrelatedWishart(1, 1), 50_000, seed=33).eigenvalues[:, 0]
+    assert kstest(wishart, expon.cdf).pvalue > 1e-3
 
 
 def test_seed_determinism():
