@@ -8,10 +8,13 @@ holds the kernel integrated over [a, b] under the tilt factor; the kernel
 itself fills a key's slice (``KernelForm.slice``).  Each key object's slice
 is filled once, and all positions given the same key object form one group
 of the permutation plan, also when they are not adjacent; this is exact,
-because they share one slice.  Slices M+1..N hold the kernel's constant
-columns, one singleton group each.  Tied abscissae never reach the
-operator: two equal eigenvalues make the Vandermonde factor vanish, so
-every density at a tie is exactly 0.
+because they share one slice.  Each kernel also keeps the slices of its
+last call, and the next call reuses those it asks for again, so every rank
+at one abscissa fills the point slice and the segments below and above it
+once (``_slices``).  Slices M+1..N hold the kernel's constant columns, one
+singleton group each.  Tied abscissae never reach the operator: two equal
+eigenvalues make the Vandermonde factor vanish, so every density at a tie
+is exactly 0.
 
 The callers differ only in their keys.  Fixing L of the M ordered
 eigenvalues gives point keys at the fixed ranks and, for each free rank,
@@ -43,6 +46,7 @@ counting polynomial.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -91,6 +95,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_DOUBLE = struct.Struct("d").pack
 
 # exact enumeration cost walls: factorial growth in the kernel dimension
 _MAX_SQUARE_DIM = 8
@@ -123,6 +128,22 @@ def _check_abscissa(x: float) -> float:
 def _check_rank(kernel: KernelForm, ell: int) -> None:
     if not (1 <= ell <= kernel.m):
         raise ValueError(f"eigenvalue rank {ell} outside 1..{kernel.m}")
+
+
+def _check_fixed(m: int, indices: Sequence[int], values: Sequence) -> tuple:
+    """The fixed ranks of ordered eigenvalues as a tuple, after checking them
+    and their abscissae: one abscissa (or grid of them) per rank, the ranks
+    strictly increasing within 1..m, and no abscissa NaN."""
+    idx = tuple(int(i) for i in indices)
+    if len(idx) != len(values) or not idx:
+        raise ValueError("need one abscissa per fixed index")
+    if any(i < 1 or i > m for i in idx):
+        raise ValueError(f"fixed indices {idx} outside 1..{m}")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"fixed indices must be strictly increasing: {idx}")
+    if any(np.isnan(v).any() for v in values):
+        raise ValueError("abscissae must not be NaN")
+    return idx
 
 
 def _check_grid(grid: Sequence[float]) -> np.ndarray:
@@ -159,18 +180,9 @@ class SegmentLayout:
     support: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.fixed_indices)
         vals = tuple(float(v) for v in self.fixed_values)
-        object.__setattr__(self, "fixed_indices", idx)
+        object.__setattr__(self, "fixed_indices", _check_fixed(self.m, self.fixed_indices, vals))
         object.__setattr__(self, "fixed_values", vals)
-        if len(idx) != len(vals) or not idx:
-            raise ValueError("need one abscissa per fixed index")
-        if any(i < 1 or i > self.m for i in idx):
-            raise ValueError(f"fixed indices {idx} outside 1..{self.m}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"fixed indices must be strictly increasing: {idx}")
-        if any(math.isnan(v) for v in vals):
-            raise ValueError(f"abscissae must not be NaN: {vals}")
 
     @property
     def count(self) -> int:
@@ -213,27 +225,64 @@ def _log_order_constant(m: int, indices: Sequence[int]) -> float:
     return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
 
 
-def _slices(kernel: KernelForm, keys: Sequence, count: int) -> list:
+def _slices(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> list:
     """The slices of several keys at ``count`` abscissa sets, one stack per
-    key (a single slice for a key with no vector): the point keys fill theirs
-    in one kernel pass, and so do the segment keys of each tilt."""
+    key (a single slice for a key with no vector that has its pass to
+    itself): the point keys fill theirs in one kernel pass, and so do the
+    segment keys of each tilt.
+
+    Each kernel keeps the slices of its most recent call in ``kernel.memo``,
+    read-only and named by exact value: the float bytes of the point or of
+    the segment ends, the tilt, and the rows of the returned stack.  A call
+    fills only the keys it does not find there, in the same passes, and its
+    own slices then replace the memo.  A slice is bit-identical in any
+    batch, so a reused slice is the one the call would have filled."""
     passes: dict = {}
     for i, key in enumerate(keys):
         passes.setdefault(key[2] if isinstance(key, tuple) else None, []).append(i)
+    parts = [key[:2] if isinstance(key, tuple) else (key,) for key in keys]
+    last = kernel.memo.get("slices", {})
+    names = [None] * len(keys)
     out = [None] * len(keys)
     for tilt, members in passes.items():
-        if len(members) == 1:
-            out[members[0]] = kernel.slice(keys[members[0]])
+        missing = []
+        for i in members:
+            # a key with no vector comes back as a single slice when it has
+            # its pass to itself, and as ``count`` rows of a shared pass
+            rows, exact = count if len(members) > 1 else 0, []
+            for value in parts[i]:
+                if isinstance(value, np.ndarray):
+                    rows = count if value.ndim else rows
+                    exact.append((value.shape, np.asarray(value, dtype=float).tobytes()))
+                else:
+                    exact.append(_DOUBLE(value))
+            names[i] = (tilt, rows, *exact)
+            out[i] = last.get(names[i])
+            if out[i] is None:
+                missing.append(i)
+        if stats is not None:
+            stats.slices_filled += len(missing)
+            stats.slices_reused += len(members) - len(missing)
+        if not missing:
             continue
-        parts = [keys[i][:2] if tilt is not None else (keys[i],) for i in members]
-        ends = np.empty((len(parts[0]), len(members) * count))
-        for j, part in enumerate(parts):
-            for e, value in enumerate(part):
+        if len(members) == 1:
+            out[missing[0]] = tuple(map(_read_only, kernel.slice(keys[missing[0]])))
+            continue
+        ends = np.empty((len(parts[missing[0]]), len(missing) * count))
+        for j, i in enumerate(missing):
+            for e, value in enumerate(parts[i]):
                 ends[e, j * count : (j + 1) * count] = value
-        signs, logs = kernel.slice(ends[0] if tilt is None else (ends[0], ends[1], tilt))
-        for j, i in enumerate(members):
+        signs, logs = map(_read_only, kernel.slice(ends[0] if tilt is None else (ends[0], ends[1], tilt)))
+        for j, i in enumerate(missing):
             out[i] = signs[j * count : (j + 1) * count], logs[j * count : (j + 1) * count]
+    kernel.memo["slices"] = dict(zip(names, out))
     return out
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
 
 def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> list:
@@ -256,7 +305,7 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
     n, m = kernel.n, kernel.m
     signs = np.zeros((count, n, n, n))
     logs = np.full((count, n, n, n), -_INF)
-    for (ms, ml), (_, ks) in zip(_slices(kernel, [key for key, _ in groups], count), groups):
+    for (ms, ml), (_, ks) in zip(_slices(kernel, [key for key, _ in groups], count, stats), groups):
         signs[..., ks] = ms[..., None]
         logs[..., ks] = ml[..., None]
     const_signs, const_logs = kernel.const_rows
@@ -271,11 +320,13 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
     return pseudo_det_grouped(Tensor3(signs, logs), plan, stats)
 
 
-def _unordered_value(kernel: KernelForm, keys: Sequence, stats: Optional[EvalStats] = None) -> float:
-    """Exchangeable statistic: the operator over ``keys``, divided by M!."""
-    (value,) = _operator(kernel, keys, 1, stats)
+def _unordered_values(
+    kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None
+) -> list:
+    """Exchangeable statistic at ``count`` abscissa sets: the operator over
+    ``keys``, divided by M!."""
     scale = kernel.log_k * SignedLog.from_log(-log_factorial(kernel.m))
-    return (scale * value).to_float()
+    return [(scale * value).to_float() for value in _operator(kernel, keys, count, stats)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +383,14 @@ def joint_pdf_ordered(
     """Joint density of the ordered eigenvalues at the given ranks."""
     kernel = kernel_form(model)
     _check_capability(kernel)
-    layout = SegmentLayout(kernel.m, tuple(indices), tuple(xs), kernel.support)
-    return float(_ordered_densities(kernel, layout.fixed_indices, [layout.fixed_values], stats)[0])
+    xs = [float(v) for v in xs]
+    return float(_ordered_densities(kernel, _check_fixed(kernel.m, indices, xs), [xs], stats)[0])
 
 
 def pdf_single(
     model: EnsembleModel, ell: int, x: float, stats: Optional[EvalStats] = None
 ) -> float:
     """Marginal density of the ell-th largest eigenvalue."""
-    _check_rank(kernel_form(model), ell)
     return joint_pdf_ordered(model, (ell,), (x,), stats)
 
 
@@ -365,13 +415,10 @@ def pdf_pair_grid(
     x_s >= x_ell is exactly 0."""
     kernel = kernel_form(model)
     _check_capability(kernel)
-    _check_rank(kernel, ell)
-    _check_rank(kernel, s)
-    if s <= ell:
-        raise ValueError(f"pair ranks must satisfy ell < s, got {ell}, {s}")
     g1, g2 = _check_grid(grid1), _check_grid(grid2)
+    indices = _check_fixed(kernel.m, (ell, s), (g1, g2))
     xs = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
-    return _ordered_densities(kernel, (ell, s), xs).reshape(len(g1), len(g2))
+    return _ordered_densities(kernel, indices, xs).reshape(len(g1), len(g2))
 
 
 def joint_pdf_unordered(
@@ -393,7 +440,25 @@ def joint_pdf_unordered(
     lo, hi = kernel.support
     if len(set(xs)) < count or any(not (lo <= v <= hi) or math.isinf(v) for v in xs):
         return 0.0
-    return _unordered_value(kernel, xs + [(lo, hi, IDENTITY_TILT)] * (m - count), stats)
+    return _unordered_values(kernel, xs + [(lo, hi, IDENTITY_TILT)] * (m - count), 1, stats)[0]
+
+
+def _unordered_curve(kernel: KernelForm, grid: np.ndarray) -> np.ndarray:
+    """``joint_pdf_unordered`` of one eigenvalue at every grid point, in one
+    batched operator call: the grid points inside the support are one
+    vector point key, and the other eigenvalues share one full-support
+    segment.  Points outside the support, or infinite, are 0.  Batches are
+    sized as in ``_ordered_densities``."""
+    lo, hi = kernel.support
+    step = max(1, _CHUNK // kernel.n)
+    if len(grid) > step:
+        return np.concatenate([_unordered_curve(kernel, grid[i : i + step]) for i in range(0, len(grid), step)])
+    inside = (grid >= lo) & (grid <= hi) & np.isfinite(grid)
+    out = np.zeros(len(grid))
+    if inside.any():
+        keys = [grid[inside]] + [(lo, hi, IDENTITY_TILT)] * (kernel.m - 1)
+        out[inside] = _unordered_values(kernel, keys, int(inside.sum()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +494,7 @@ def prob_all_in(
     key = (lo, hi, IDENTITY_TILT)
     if method == "determinant":
         return (kernel.log_k * _det_from_arrays(*kernel.slice(key))).to_float()
-    return _unordered_value(kernel, [key] * kernel.m)
+    return _unordered_values(kernel, [key] * kernel.m, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +867,7 @@ def expect_product_unordered(model: EnsembleModel, factors: Sequence) -> float:
     lo, hi = kernel.support
     # one key object per distinct factor, so that equal factors form one group
     keys: dict = {}
-    return _unordered_value(kernel, [keys.setdefault(tilt, (lo, hi, tilt)) for tilt in tilts])
+    return _unordered_values(kernel, [keys.setdefault(tilt, (lo, hi, tilt)) for tilt in tilts], 1)[0]
 
 
 def moments_unordered(model: EnsembleModel, orders: Sequence[int]) -> float:
@@ -886,7 +951,9 @@ def curve(
         values = cdf_curve(model, index, grid)
         meta["indices"] = str(index)
     elif statistic == "unordered-pdf":
-        values = [joint_pdf_unordered(model, 1, (float(x),)) for x in grid]
+        kernel = kernel_form(model)
+        _check_capability(kernel)
+        values = _unordered_curve(kernel, grid)
         meta["indices"] = "unordered"
     else:
         raise ValueError(f"unknown statistic {statistic!r}")

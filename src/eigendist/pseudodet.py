@@ -77,12 +77,16 @@ class Tensor3:
 
 
 class EvalStats:
-    """Telemetry for one operator evaluation."""
+    """Telemetry for one operator evaluation: the determinants of the
+    permutation sum, and the kernel slices filled for it or reused from the
+    kernel's previous call."""
 
-    __slots__ = ("determinants",)
+    __slots__ = ("determinants", "slices_filled", "slices_reused")
 
     def __init__(self) -> None:
         self.determinants = 0
+        self.slices_filled = 0
+        self.slices_reused = 0
 
 
 def _batch_det(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ from eigendist.distributions import (
     prob_all_in,
 )
 from eigendist.ensembles import (
+    IDENTITY_TILT,
     Beta,
     CorrelatedWishart,
     GUE,
@@ -45,6 +46,7 @@ from eigendist.ensembles import (
     spec_string,
 )
 from eigendist.errors import CapabilityError, NumericError
+from eigendist.pseudodet import EvalStats
 
 # the kernel-rule models of test_ensembles, then larger and rectangular ones,
 # each with three bulk abscissae and a deep lower and upper tail point
@@ -364,6 +366,113 @@ def test_ties_are_exact_zeros(model):
     assert batch[1] == 0.0 and batch[0] != 0.0
     assert kernel.ordered_density(tied) == 0.0
     assert joint_pdf_unordered(model, 2, (x, x)) == 0.0
+
+
+# -- slice reuse ----------------------------------------------------------------------------
+
+
+def _cold(fn):
+    # a value computed with no slice left over from an earlier call
+    kernel_form.cache_clear()
+    return fn()
+
+
+@pytest.mark.parametrize("model", MODELS, ids=spec_string)
+def test_reused_slices_give_cold_values(model):
+    # every rank at one abscissa reuses the slices of the call before it, in
+    # any order and interleaved with another model, and gives the value of a
+    # cold call bit for bit
+    m = kernel_form(model).m
+    x = float(_spread(model, 5)[2])
+    cold = [_cold(lambda: pdf_single(model, ell, x)) for ell in range(1, m + 1)]
+    other, y = W46, 3.5
+    other_cold = [_cold(lambda: pdf_single(other, ell, y)) for ell in range(1, other.dim + 1)]
+    kernel_form.cache_clear()
+    assert [pdf_single(model, ell, x) for ell in range(1, m + 1)] == cold
+    assert [pdf_single(model, ell, x) for ell in range(m, 0, -1)] == cold[::-1]
+    kernel_form.cache_clear()
+    mixed, other_mixed = [], []
+    for ell in range(1, max(m, other.dim) + 1):
+        if ell <= m:
+            mixed.append(pdf_single(model, ell, x))
+        if ell <= other.dim:
+            other_mixed.append(pdf_single(other, ell, y))
+    assert mixed == cold and other_mixed == other_cold
+
+
+@pytest.mark.parametrize("model", MODELS + [UncorrelatedWishart(4, 5)], ids=spec_string)
+def test_reused_slices_give_cold_pair_values(model):
+    m = kernel_form(model).m
+    x, y = _spread(model, 5)[[3, 1]].tolist()
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    cold = [_cold(lambda: pdf_pair(model, ell, s, x, y)) for ell, s in pairs]
+    kernel_form.cache_clear()
+    assert [pdf_pair(model, ell, s, x, y) for ell, s in pairs] == cold
+
+
+@pytest.mark.parametrize("model", MODELS, ids=spec_string)
+def test_reused_slices_give_cold_curves(model):
+    m = kernel_form(model).m
+    grid = _spread(model, 40)
+    cold = [_cold(lambda: curve(model, "pdf", grid, index=ell).values) for ell in range(1, m + 1)]
+    kernel_form.cache_clear()
+    assert [curve(model, "pdf", grid, index=ell).values for ell in range(1, m + 1)] == cold
+
+
+def test_slice_reuse_telemetry():
+    # the six ranks at one abscissa need three slices: the point and the
+    # segments below and above it; a repeated call fills none
+    model = UncorrelatedWishart(6, 10)
+    cold = EvalStats()
+    for ell in range(1, 7):
+        kernel_form.cache_clear()
+        pdf_single(model, ell, 7.5, stats=cold)
+    assert cold.slices_reused == 0
+    kernel_form.cache_clear()
+    stats = EvalStats()
+    for ell in range(1, 7):
+        pdf_single(model, ell, 7.5, stats=stats)
+    assert stats.slices_filled == 3
+    assert stats.slices_filled + stats.slices_reused == cold.slices_filled
+    assert stats.determinants == cold.determinants
+    again = EvalStats()
+    pdf_single(model, 6, 7.5, stats=again)
+    assert (again.slices_filled, again.slices_reused) == (0, 2)
+
+
+def test_slice_memo_holds_one_call():
+    kernel_form.cache_clear()
+    kernel = kernel_form(W46)
+    xs = np.linspace(0.5, 12.0, 1000)
+    for x in xs.tolist():
+        pdf_single(W46, 1, x)
+    # the last call's point slice and the segment below it, nothing else
+    memo = kernel.memo["slices"]
+    assert len(memo) == 2
+    last = [kernel.slice(xs[-1:]), kernel.slice((0.0, xs[-1:], IDENTITY_TILT))]
+    for signs, logs in memo.values():
+        assert any(np.array_equal(signs, s) and np.array_equal(logs, l) for s, l in last)
+
+
+def test_slice_memo_is_read_only():
+    kernel_form.cache_clear()
+    pdf_pair(W46, 1, 3, 6.0, 2.0)
+    arrays = [a for pair in kernel_form(W46).memo["slices"].values() for a in pair]
+    assert len(arrays) == 8
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+
+
+@pytest.mark.parametrize("model", MODELS, ids=spec_string)
+def test_unordered_curve_equals_pointwise_densities(model):
+    # one batched call; points outside the support, and infinite ones, are exactly 0
+    lo, hi = kernel_form(model).support
+    grid = np.concatenate([[lo - 0.5], _spread(model, 9), [hi + 0.5]])
+    values = curve(model, "unordered-pdf", grid).values
+    assert list(values) == [joint_pdf_unordered(model, 1, (float(x),)) for x in grid]
+    assert values[0] == 0.0 and values[-1] == 0.0 and min(values[1:-1]) > 0.0
 
 
 def test_marginal_weights_are_asked_only_where_the_density_lives():
