@@ -1,8 +1,8 @@
 """Marginal and joint statistics of ordered and unordered eigenvalues.
 
-Every statistic here is one rank-3 tensor fed to the grouped permutation
-sum, and every tensor is built by ``_operator`` from one key per eigenvalue
-position 1..M.  A key is either a point abscissa ``x``, whose slice holds
+Every statistic here is one rank-3 operator fed to the grouped permutation
+sum, and every operator is built by ``_operator`` from one key per
+eigenvalue position 1..M.  A key is either a point abscissa ``x``, whose slice holds
 the kernel evaluated at ``x``, or a segment ``(a, b, tilt)``, whose slice
 holds the kernel integrated over [a, b] under the tilt factor; the kernel
 itself fills a key's slice (``KernelForm.slice``).  Each key object's slice
@@ -25,12 +25,12 @@ eigenvalue.
 
 The abscissa is a batch axis: a key's point, or a segment's ends, may be a
 vector with one entry per abscissa set, and then the slices of all sets are
-filled in one kernel pass, the tensors are stacked, and the permutation sum
-takes their determinants together.  A single value is the batch of one,
+filled in one kernel pass and stacked, and the permutation sum takes their
+determinants together.  A single value is the batch of one,
 and every value is bit-identical whatever batch it was computed in, so a
 curve, a quadrature round or a cut grid is one call.
 
-Ordered distribution functions need no tensor: with B and A the slices of
+Ordered distribution functions need no permutation sum: with B and A the slices of
 the segments below and above x, and C the constant rows, ``K det[B + t*A;
 C]`` is the generating function of the number of eigenvalues above x (the
 same Cauchy-Binet argument as behind the operator), so ``P(lambda_ell <=
@@ -65,10 +65,9 @@ from .pseudodet import (
     _CHUNK,
     EvalStats,
     GroupedPermutationPlan,
-    Tensor3,
     _batch_det,
     _det_from_arrays,
-    pseudo_det_grouped,
+    _grouped_sum,
 )
 from .quadrature import integrate
 from .signedlog import SignedLog
@@ -296,6 +295,10 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
     Equal keys in distinct objects stay apart, which is still exact but
     costs more determinants.  Tied abscissae would be such keys: callers
     return their density, exactly 0, without the operator.
+
+    The permutation sum gets the distinct slices of each set, one per group
+    and then one per constant row, a (count, G + n - m, n, n) stack, with
+    the slice of every position (``pseudodet._grouped_sum``).
     """
     groups: dict = {}
     for k, key in enumerate(keys):
@@ -303,21 +306,25 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
     groups = list(groups.values())
 
     n, m = kernel.n, kernel.m
-    signs = np.zeros((count, n, n, n))
-    logs = np.full((count, n, n, n), -_INF)
-    for (ms, ml), (_, ks) in zip(_slices(kernel, [key for key, _ in groups], count, stats), groups):
-        signs[..., ks] = ms[..., None]
-        logs[..., ks] = ml[..., None]
+    g = len(groups)
+    signs = np.empty((count, g + n - m, n, n))
+    logs = np.empty((count, g + n - m, n, n))
+    where = np.empty(n, dtype=np.intp)
+    for s, (ms, ml) in enumerate(_slices(kernel, [key for key, _ in groups], count, stats)):
+        signs[:, s], logs[:, s] = ms, ml
+        where[groups[s][1]] = s
+    # the slice of constant position k holds constant row k-m in rows k..n-1
     const_signs, const_logs = kernel.const_rows
     for k in range(m, n):
-        signs[:, k:, :, k] = const_signs[k - m]
-        logs[:, k:, :, k] = const_logs[k - m]
+        s = where[k] = g + k - m
+        signs[:, s, :k], logs[:, s, :k] = 0.0, -_INF
+        signs[:, s, k:], logs[:, s, k:] = const_signs[k - m], const_logs[k - m]
     positions = tuple(tuple(ks) for _, ks in groups) + tuple((k,) for k in range(m, n))
     # one plan per grouping, so that it enumerates its representatives once
     plan = kernel.memo.get(("plan", positions))
     if plan is None:
         plan = kernel.memo[("plan", positions)] = GroupedPermutationPlan(n, positions)
-    return pseudo_det_grouped(Tensor3(signs, logs), plan, stats)
+    return _grouped_sum(signs, logs, where, plan, stats)
 
 
 def _unordered_values(
@@ -338,30 +345,29 @@ def _ordered_densities(
     kernel: KernelForm, indices: Sequence[int], xs: np.ndarray, stats: Optional[EvalStats] = None
 ) -> np.ndarray:
     """Joint density of the ordered eigenvalues at the given ranks, at every
-    row of ``xs`` (one column per rank) in one batched operator call.
+    row of ``xs`` (one column per rank), in batched operator calls.
 
     A fixed rank's key is its column of abscissae; the free ranks between two
     fixed ones share the segment between those columns (``SegmentLayout``).
     Rows outside the ordered support are 0, among them every row that is not
     strictly decreasing (at a tie the Vandermonde factor vanishes), as is
-    every row with an infinite abscissa, where all the weights vanish.  A
-    batch holds at most _CHUNK / n rows, so that its tensors hold no more
-    entries than one chunk of the permutation sum's determinants.
+    every row with an infinite abscissa, where all the weights vanish.  They
+    are dropped first, and the rest go to the operator in calls of at most
+    _CHUNK / n rows, so that a call's slice stack holds no more entries than
+    one chunk of the permutation sum's determinants.
     """
     lo, hi = kernel.support
     xs = np.asarray(xs, dtype=float)
-    step = max(1, _CHUNK // kernel.n)
-    if len(xs) > step:
-        return np.concatenate(
-            [_ordered_densities(kernel, indices, xs[i : i + step], stats) for i in range(0, len(xs), step)]
-        )
     rows = [
         r for r, row in enumerate(xs.tolist())
         if all(lo <= v <= hi and abs(v) < _INF for v in row) and all(a > b for a, b in zip(row, row[1:]))
     ]
     out = np.zeros(len(xs))
-    if rows:
-        cols = [xs[rows, j] for j in range(xs.shape[1])]
+    scale = SignedLog.from_log(_log_order_constant(kernel.m, indices)) * kernel.log_k
+    step = max(1, _CHUNK // kernel.n)
+    for start in range(0, len(rows), step):
+        part = rows[start : start + step]
+        cols = [xs[part, j] for j in range(xs.shape[1])]
         ends = [hi, *cols, lo]
         segments = [(ends[s + 1], ends[s], IDENTITY_TILT) for s in range(len(cols) + 1)]
         fixed = dict(zip(indices, cols))
@@ -369,8 +375,7 @@ def _ordered_densities(
             fixed[k] if k in fixed else segments[sum(i < k for i in indices)]
             for k in range(1, kernel.m + 1)
         ]
-        scale = SignedLog.from_log(_log_order_constant(kernel.m, indices)) * kernel.log_k
-        out[rows] = [(scale * value).to_float() for value in _operator(kernel, keys, len(rows), stats)]
+        out[part] = [(scale * value).to_float() for value in _operator(kernel, keys, len(part), stats)]
     return out
 
 
@@ -444,20 +449,19 @@ def joint_pdf_unordered(
 
 
 def _unordered_curve(kernel: KernelForm, grid: np.ndarray) -> np.ndarray:
-    """``joint_pdf_unordered`` of one eigenvalue at every grid point, in one
-    batched operator call: the grid points inside the support are one
+    """``joint_pdf_unordered`` of one eigenvalue at every grid point, in
+    batched operator calls: the grid points inside the support are one
     vector point key, and the other eigenvalues share one full-support
-    segment.  Points outside the support, or infinite, are 0.  Batches are
-    sized as in ``_ordered_densities``."""
+    segment.  Points outside the support, or infinite, are 0 and dropped
+    first; the rest go in calls sized as in ``_ordered_densities``."""
     lo, hi = kernel.support
-    step = max(1, _CHUNK // kernel.n)
-    if len(grid) > step:
-        return np.concatenate([_unordered_curve(kernel, grid[i : i + step]) for i in range(0, len(grid), step)])
-    inside = (grid >= lo) & (grid <= hi) & np.isfinite(grid)
+    inside = np.flatnonzero((grid >= lo) & (grid <= hi) & np.isfinite(grid))
     out = np.zeros(len(grid))
-    if inside.any():
-        keys = [grid[inside]] + [(lo, hi, IDENTITY_TILT)] * (kernel.m - 1)
-        out[inside] = _unordered_values(kernel, keys, int(inside.sum()))
+    step = max(1, _CHUNK // kernel.n)
+    for start in range(0, len(inside), step):
+        part = inside[start : start + step]
+        keys = [grid[part]] + [(lo, hi, IDENTITY_TILT)] * (kernel.m - 1)
+        out[part] = _unordered_values(kernel, keys, len(part))
     return out
 
 

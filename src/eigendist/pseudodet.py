@@ -10,10 +10,19 @@ representative per assignment class suffices with a factorial multiplicity
 weight.  All determinants run in sign-tracked log scale with per-row
 rescaling, and the outer sum is merged chunk-by-chunk in a fixed order.
 
-A tensor may carry a leading batch axis, one tensor per abscissa set of a
-statistic: every representative's determinant for all of them runs in one
-stacked ``slogdet``, and each tensor keeps its own chunked sum, so its value
-is the one it has when evaluated alone.
+The sum needs only the distinct slices: the kernel (``_grouped_sum``) takes
+them as a stack with a map from each position to its slice, so a group of
+equal positions hands over one n x n slice, not one per position.  Every
+slice row is scaled by its largest magnitude once per call, and each
+representative gathers the scaled rows its positions pick.  A plan is
+checked against the map, which is exact: a group must name one slice.  The
+public entries take a dense ``Tensor3`` and pass its slices on, one per
+group (``pseudo_det_grouped``) or one per position (``pseudo_det``).
+
+The slices may carry a leading batch axis, one operator per abscissa set of
+a statistic: every representative's determinant for all of them runs in one
+stacked ``slogdet``, and each operator keeps its own chunked sum, so its
+value is the one it has when evaluated alone.
 """
 
 from __future__ import annotations
@@ -57,14 +66,11 @@ class Tensor3:
         n = signs.shape[-1]
         if n < 1 or signs.shape[-3:] != (n, n, n):
             raise ValueError(f"tensor must be cubic with dimension >= 1, got {signs.shape}")
-        bad = np.isnan(logs) | (logs == np.inf) | np.isnan(signs)
-        if bad.any():
-            i, j, k = (int(v) + 1 for v in np.argwhere(bad)[0][-3:])
-            raise NumericError(f"non-finite tensor element at ({i}, {j}, {k})")
-        mismatch = (signs == 0) != (logs == -np.inf)
-        if mismatch.any():
-            i, j, k = (int(v) + 1 for v in np.argwhere(mismatch)[0][-3:])
-            raise NumericError(f"sign/log convention violated at ({i}, {j}, {k})")
+        found = _violation(signs, logs)
+        if found is not None:
+            what, at = found
+            i, j, k = (int(v) + 1 for v in at[-3:])
+            raise NumericError(f"{what} at ({i}, {j}, {k})")
         self.n = n
         self.signs = signs
         self.logs = logs
@@ -89,18 +95,44 @@ class EvalStats:
         self.slices_reused = 0
 
 
-def _batch_det(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of a (..., N, N) stack of signed-log matrices."""
+def _violation(signs: np.ndarray, logs: np.ndarray):
+    """What is wrong with a signed-log array, and the index of the first
+    entry where it is: a NaN or +inf entry, or a sign of 0 with a finite log
+    or the reverse.  None for a valid array."""
+    bad = ~(logs < np.inf) | np.isnan(signs)
+    if bad.any():
+        return "non-finite element", np.argwhere(bad)[0]
+    mismatch = (signs == 0) != (logs == -np.inf)
+    if mismatch.any():
+        return "sign/log convention violated", np.argwhere(mismatch)[0]
+    return None
+
+
+def _scale_rows(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row of a (..., N) signed-log stack divided by its largest
+    magnitude: the scaled rows, their log shifts, and which rows are
+    finite.  A row of zeros scales to zeros with shift 0."""
     rowmax = logs.max(axis=-1)
     finite = np.isfinite(rowmax)
     shift = np.where(finite, rowmax, 0.0)
     with np.errstate(under="ignore"):
-        resid = signs * np.exp(logs - shift[..., None])
-    sgn, logdet = np.linalg.slogdet(resid)
+        scaled = signs * np.exp(logs - shift[..., None])
+    return scaled, shift, finite
+
+
+def _scaled_det(scaled: np.ndarray, shift: np.ndarray, finite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of a (..., N, N) stack of scaled rows (``_scale_rows``):
+    the ``slogdet`` of the rows plus their shifts, 0 where a row is zero."""
+    sgn, logdet = np.linalg.slogdet(scaled)
     total = logdet + shift.sum(axis=-1)
     total = np.where(finite.all(axis=-1), total, -np.inf)
     sgn = np.where(np.isfinite(total), sgn, 0.0)
     return sgn, np.where(sgn == 0.0, -np.inf, total)
+
+
+def _batch_det(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of a (..., N, N) stack of signed-log matrices."""
+    return _scaled_det(*_scale_rows(signs, logs))
 
 
 def _det_from_arrays(signs: np.ndarray, logs: np.ndarray) -> SignedLog:
@@ -262,45 +294,83 @@ def _chunks(mu_iter):
         yield batch, _perm_signs(batch)
 
 
-def _accumulate(tensor: Tensor3, chunks, stats: EvalStats | None) -> list:
-    """One signed sum per tensor of the stack.  Each chunk of permutations
-    runs over as many tensors at once as keep a stacked ``slogdet`` within
-    _CHUNK determinants, and every tensor merges its terms chunk by chunk in
-    the same order as alone."""
-    n = tensor.n
-    stack = tensor.signs.ndim == 4
-    # slice k at first-index mu_k gives row k: index as [tensor, k, i, j]
-    signs_t = (tensor.signs if stack else tensor.signs[None]).transpose(0, 3, 1, 2)
-    logs_t = (tensor.logs if stack else tensor.logs[None]).transpose(0, 3, 1, 2)
-    accs = [SignedLogSum() for _ in range(len(signs_t))]
-    rows = np.arange(n)[None, :]
+def _permutation_sum(signs: np.ndarray, logs: np.ndarray, where: np.ndarray, chunks, stats: EvalStats | None) -> list:
+    """One signed sum per operator of a (count, S, n, n) slice stack, over
+    the permutations of ``chunks``; row k of a permutation's matrix is row
+    mu_k of slice ``where[k]``.  The rows are scaled once, and each chunk of
+    permutations runs over as many operators at once as keep a stacked
+    ``slogdet`` within _CHUNK determinants.  Every operator merges its terms
+    chunk by chunk in the same order as alone."""
+    scaled, shift, finite = _scale_rows(signs, logs)
+    accs = [SignedLogSum() for _ in range(len(scaled))]
     for batch, parity in chunks:
         step = max(1, _CHUNK // len(batch))
         for start in range(0, len(accs), step):
             part = slice(start, start + step)
-            det_sgn, det_log = _batch_det(signs_t[part, rows, batch], logs_t[part, rows, batch])
+            det_sgn, det_log = _scaled_det(
+                scaled[part, where, batch], shift[part, where, batch], finite[part, where, batch]
+            )
             det_sgn = det_sgn * parity
             if stats is not None:
                 stats.determinants += det_sgn.size
             for acc, s, l in zip(accs[part], det_sgn, det_log):
                 acc.add_terms(s, l)
-    totals = [acc.total() for acc in accs]
-    return totals if stack else totals[0]
+    return [acc.total() for acc in accs]
+
+
+def _grouped_sum(
+    signs: np.ndarray,
+    logs: np.ndarray,
+    where: np.ndarray,
+    plan: GroupedPermutationPlan,
+    stats: EvalStats | None = None,
+) -> list:
+    """Grouped evaluation of a stack of operators given by their distinct
+    slices: ``signs`` and ``logs`` hold S slices for each of ``count``
+    operators, (count, S, n, n), and position k takes slice ``where[k]``.
+    Returns one value per operator.
+
+    Every slice entry is checked as ``Tensor3`` checks its entries, and each
+    group of the plan must name one slice, which makes the grouping exact."""
+    found = _violation(signs, logs)
+    if found is not None:
+        what, (_, s, i, j) = found
+        raise NumericError(f"{what} in slice {s + 1} at ({i + 1}, {j + 1})")
+    if len(where) != plan.n:
+        raise InvalidPlanError(f"plan dimension {plan.n} does not match {len(where)} slice positions")
+    for group in plan.groups:
+        if len({int(where[k]) for k in group}) != 1:
+            raise InvalidPlanError(f"group {group} spans several slices")
+    weight = SignedLog.of(float(plan.multiplicity))
+    return [total * weight for total in _permutation_sum(signs, logs, where, plan.chunks(), stats)]
+
+
+def _position_slices(tensor: Tensor3, positions) -> tuple[np.ndarray, np.ndarray]:
+    """The slices of a tensor (or stack) at the given positions as a
+    (count, S, n, n) stack."""
+    n = tensor.n
+    return tuple(
+        np.ascontiguousarray(np.moveaxis(a.reshape(-1, n, n, n)[..., positions], -1, 1))
+        for a in (tensor.signs, tensor.logs)
+    )
 
 
 def pseudo_det(tensor: Tensor3, stats: EvalStats | None = None):
     """Full permutation-sum evaluation: one determinant per slice permutation.
     A stack of tensors gives a list of values."""
+    positions = np.arange(tensor.n)
     mu_iter = (np.asarray(p, dtype=np.intp) for p in itertools.permutations(range(tensor.n)))
-    return _accumulate(tensor, _chunks(mu_iter), stats)
+    totals = _permutation_sum(*_position_slices(tensor, positions), positions, _chunks(mu_iter), stats)
+    return totals if tensor.signs.ndim == 4 else totals[0]
 
 
 def pseudo_det_grouped(tensor: Tensor3, plan: GroupedPermutationPlan, stats: EvalStats | None = None):
     """Grouped evaluation over class representatives with multiplicity weight.
     A stack of tensors gives a list of values, one per tensor."""
     plan.check_against(tensor)
-    totals = _accumulate(tensor, plan.chunks(), stats)
-    weight = SignedLog.of(float(plan.multiplicity))
-    if isinstance(totals, list):
-        return [total * weight for total in totals]
-    return totals * weight
+    where = np.empty(plan.n, dtype=np.intp)
+    for s, group in enumerate(plan.groups):
+        where[list(group)] = s
+    slices = _position_slices(tensor, [group[0] for group in plan.groups])
+    totals = _grouped_sum(*slices, where, plan, stats)
+    return totals if tensor.signs.ndim == 4 else totals[0]

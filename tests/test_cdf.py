@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
+import eigendist.distributions as dist
 import eigendist.montecarlo
 from eigendist.distributions import (
     _count_distribution,
@@ -340,6 +341,31 @@ def test_pair_grid_validation():
             pdf_pair_grid(W46, 1, 2, grid, bad)
     with pytest.raises(CapabilityError):
         pdf_pair_grid(UncorrelatedWishart(9, 12), 1, 2, grid, grid)
+
+
+def test_off_support_rows_are_dropped_before_batching(monkeypatch):
+    # an operator call takes at most _CHUNK / n = 1024 rows of W4x5; a 40 x 40
+    # surface has 1600 rows, but only the 780 below the diagonal are on the
+    # ordered support, and they go in one call, as do the 800 support points
+    # of a 1600-point unordered curve
+    model = UncorrelatedWishart(4, 5)
+    counts = []
+    operator = dist._operator
+
+    def spy(kernel, keys, count, stats=None):
+        counts.append(count)
+        return operator(kernel, keys, count, stats)
+
+    monkeypatch.setattr(dist, "_operator", spy)
+    grid = np.linspace(0.0, 20.0, 40)
+    surface = pdf_pair_grid(model, 1, 2, grid, grid)
+    line = np.linspace(-20.0, 20.0, 1600)
+    values = curve(model, "unordered-pdf", line).values
+    assert counts == [780, 800]
+    for i, x1 in enumerate(grid.tolist()):
+        for j, x2 in enumerate(grid.tolist()):
+            assert surface[i, j] == pdf_pair(model, 1, 2, x1, x2), (x1, x2)
+    assert list(values) == [joint_pdf_unordered(model, 1, (x,)) for x in line.tolist()]
 
 
 @pytest.mark.parametrize("model", MODELS + [SpikedWishart(6, 10, 10.0, 1.0)], ids=spec_string)

@@ -8,6 +8,7 @@ anchor the whole engine:
 """
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -38,13 +39,21 @@ from eigendist.ensembles import (
     Beta,
     CorrelatedWishart,
     GUE,
+    NoncentralWishart,
     SpikedWishart,
     Tilt,
     UncorrelatedWishart,
     kernel_form,
+    spec_string,
 )
-from eigendist.errors import CapabilityError
-from eigendist.pseudodet import EvalStats
+from eigendist.errors import CapabilityError, InvalidPlanError, NumericError
+from eigendist.pseudodet import (
+    EvalStats,
+    GroupedPermutationPlan,
+    Tensor3,
+    _grouped_sum,
+    pseudo_det_grouped,
+)
 
 M22 = UncorrelatedWishart(2, 2)
 
@@ -428,13 +437,13 @@ def test_unordered_grouping_by_factor_value(monkeypatch, call, groups):
     # equal factors arrive as separate objects; they must still share one
     # slice key, or the plan would take more determinants than it needs
     plans = []
-    engine = dist.pseudo_det_grouped
+    engine = dist._grouped_sum
 
-    def spy(tensor, plan, stats=None):
+    def spy(signs, logs, where, plan, stats=None):
         plans.append(plan)
-        return engine(tensor, plan, stats)
+        return engine(signs, logs, where, plan, stats)
 
-    monkeypatch.setattr(dist, "pseudo_det_grouped", spy)
+    monkeypatch.setattr(dist, "_grouped_sum", spy)
     call(UncorrelatedWishart(4, 5))
     assert [plan.groups for plan in plans] == [groups]
 
@@ -444,6 +453,104 @@ def test_pair_grouping_telemetry_with_constant_columns():
     cw = CorrelatedWishart(3, 5, (2.0, 1.0), (2, 3))
     joint_pdf_ordered(cw, (1, 3), (6.0, 1.0), stats=stats)
     assert stats.determinants == 120  # 5!: every slice is its own group
+
+
+# -- distinct slices against the dense tensor ---------------------------------------
+
+# the kernel-rule models of test_ensembles, and one with two constant rows,
+# each with three abscissae in descending order inside its support
+SLICE_MODELS = [
+    (UncorrelatedWishart(3, 5), (7.5, 2.0, 0.3)),
+    (SpikedWishart(3, 4, 2.0, 1.0), (7.5, 2.0, 0.3)),
+    (CorrelatedWishart(2, 3, (2.0, 1.0), (1, 2)), (7.5, 2.0, 0.3)),
+    (CorrelatedWishart(3, 2, (2.0, 1.0), (1, 1)), (7.5, 2.0, 0.3)),
+    (GUE(3), (2.2, 0.4, -1.7)),
+    (Beta(3, 1, 2), (0.85, 0.5, 0.15)),
+    (NoncentralWishart(2, 3, (2.0,)), (7.5, 2.0, 0.3)),
+    (CorrelatedWishart(3, 5, (2.0, 1.0), (2, 3)), (7.5, 2.0, 0.3)),
+]
+
+
+def dense_operator(kernel, keys, count):
+    """The operator through one dense n x n x n tensor per abscissa set:
+    every position holds its key's slice, constant position k holds constant
+    row k-m in rows k..n-1, and the positions of one key object form one
+    group of the plan."""
+    groups = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(id(key), (key, []))[1].append(k)
+    n, m = kernel.n, kernel.m
+    signs = np.zeros((count, n, n, n))
+    logs = np.full((count, n, n, n), -np.inf)
+    for key, ks in groups.values():
+        key_signs, key_logs = kernel.slice(key)
+        signs[..., ks] = key_signs[..., None]
+        logs[..., ks] = key_logs[..., None]
+    const_signs, const_logs = kernel.const_rows
+    for k in range(m, n):
+        signs[:, k:, :, k] = const_signs[k - m]
+        logs[:, k:, :, k] = const_logs[k - m]
+    positions = tuple(tuple(ks) for _, ks in groups.values()) + tuple((k,) for k in range(m, n))
+    return pseudo_det_grouped(Tensor3(signs, logs), GroupedPermutationPlan(n, positions))
+
+
+@pytest.mark.parametrize("case", SLICE_MODELS, ids=lambda case: spec_string(case[0]))
+def test_operator_equals_dense_tensor_sum(monkeypatch, case):
+    # the operator hands the permutation sum one slice per group; the dense
+    # tensor repeats it at every position of the group, and both give the
+    # same value bit for bit
+    model, xs = case
+    calls = []
+    operator = dist._operator
+
+    def spy(kernel, keys, count, stats=None):
+        values = operator(kernel, keys, count, stats)
+        calls.append((kernel, keys, count, values))
+        return values
+
+    monkeypatch.setattr(dist, "_operator", spy)
+    m = kernel_form(model).m
+    for ell in range(1, m + 1):
+        pdf_single(model, ell, xs[1])
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    for ell, s in pairs:
+        pdf_pair(model, ell, s, xs[0], xs[2])
+    for count in range(1, m + 1):
+        joint_pdf_unordered(model, count, xs[:count])
+    moments_unordered(model, (1,) + (0,) * (m - 1))
+    moments_unordered(model, tuple(range(m)))
+    assert len(calls) == 2 * m + len(pairs) + 2
+    for kernel, keys, count, values in calls:
+        assert dense_operator(kernel, keys, count) == values
+
+
+def test_nan_slice_raises_through_operator(monkeypatch):
+    # a kernel object of its own, so that no other test meets its slices
+    kernel = kernel_form.__wrapped__(UncorrelatedWishart(3, 5))
+    fill = kernel.slice
+
+    def poisoned(key):
+        signs, logs = fill(key)
+        logs = logs.copy()
+        logs[..., 1, 2] = np.nan
+        return signs, logs
+
+    monkeypatch.setattr(kernel, "slice", poisoned)
+    segment = (0.0, 2.0, dist.IDENTITY_TILT)
+    with pytest.raises(NumericError, match=r"non-finite element in slice \d at \(2, 3\)"):
+        dist._operator(kernel, [4.0, segment, segment], 1)
+
+
+def test_plan_group_spanning_two_slices_rejected():
+    rng = np.random.default_rng(3)
+    signs = np.sign(rng.standard_normal((1, 2, 3, 3)))
+    logs = rng.standard_normal((1, 2, 3, 3))
+    plan = GroupedPermutationPlan(3, ((0, 1), (2,)))
+    (value,) = _grouped_sum(signs, logs, np.array([0, 0, 1]), plan)
+    dense = Tensor3(signs[0, [0, 0, 1]].transpose(1, 2, 0), logs[0, [0, 0, 1]].transpose(1, 2, 0))
+    assert value == pseudo_det_grouped(dense, plan)
+    with pytest.raises(InvalidPlanError, match=r"group \(0, 1\)"):
+        _grouped_sum(signs, logs, np.array([0, 1, 1]), plan)
 
 
 # -- capability limits ---------------------------------------------------------------
