@@ -24,7 +24,6 @@ from .ensembles import (
     mean_eigenvalue_sum,
 )
 from .distributions import (
-    SegmentLayout,
     CurveGrid,
     joint_pdf_ordered,
     pdf_single,

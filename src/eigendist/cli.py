@@ -4,6 +4,7 @@ reports as CSV, plus the bundled figure datasets."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -67,19 +68,20 @@ def _float_list(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",")]
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing and closed on exit, or stdout
+    for no path or ``-``."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _emit_curve(grid_curve: dist.CurveGrid, out) -> None:
-    fh, close = _open_out(out)
-    try:
+    with _output(out) as fh:
         grid_curve.write_csv(fh)
-    finally:
-        if close:
-            fh.close()
 
 
 def _write_surface(fh, model, ell, s, grid1, grid2) -> None:
@@ -95,17 +97,10 @@ def _write_surface(fh, model, ell, s, grid1, grid2) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_pdf(args) -> int:
+def _cmd_curve(args) -> int:
     model = _model_from_args(args)
     grid = _parse_grid(args.grid)
-    _emit_curve(dist.curve(model, "pdf", grid, index=args.index), args.out)
-    return _EXIT_OK
-
-
-def _cmd_cdf(args) -> int:
-    model = _model_from_args(args)
-    grid = _parse_grid(args.grid)
-    _emit_curve(dist.curve(model, "cdf", grid, index=args.index), args.out)
+    _emit_curve(dist.curve(model, args.statistic, grid, index=args.index), args.out)
     return _EXIT_OK
 
 
@@ -137,12 +132,8 @@ def _cmd_joint_pdf(args) -> int:
         raise ValueError("joint-pdf needs either --grid or --at")
     grid1 = _parse_grid(args.grid)
     grid2 = _parse_grid(args.grid2) if args.grid2 else grid1
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _write_surface(fh, model, indices[0], indices[1], grid1, grid2)
-    finally:
-        if close:
-            fh.close()
     return _EXIT_OK
 
 
@@ -272,19 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pdf", help="marginal density of one ordered eigenvalue")
-    _add_ensemble_flags(p)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--grid", required=True, help="lo:hi:count, endpoints inclusive")
-    p.add_argument("-o", "--out", default=None)
-    p.set_defaults(fn=_cmd_pdf)
-
-    p = sub.add_parser("cdf", help="distribution function of one ordered eigenvalue")
-    _add_ensemble_flags(p)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--grid", required=True)
-    p.add_argument("-o", "--out", default=None)
-    p.set_defaults(fn=_cmd_cdf)
+    for statistic, about in (("pdf", "marginal density"), ("cdf", "distribution function")):
+        p = sub.add_parser(statistic, help=f"{about} of one ordered eigenvalue")
+        _add_ensemble_flags(p)
+        p.add_argument("--index", type=int, required=True)
+        p.add_argument("--grid", required=True, help="lo:hi:count, endpoints inclusive")
+        p.add_argument("-o", "--out", default=None)
+        p.set_defaults(fn=_cmd_curve, statistic=statistic)
 
     p = sub.add_parser("joint-pdf", help="joint density of a subset of ordered eigenvalues")
     _add_ensemble_flags(p)

@@ -18,7 +18,7 @@ is exactly 0.
 
 The callers differ only in their keys.  Fixing L of the M ordered
 eigenvalues gives point keys at the fixed ranks and, for each free rank,
-the segment between the adjacent fixed values (``SegmentLayout``).
+the segment between the adjacent fixed values (``_ordered_densities``).
 Unordered densities use point keys followed by full-support segments, and
 unordered product expectations use one tilted full-support segment per
 eigenvalue.
@@ -74,7 +74,6 @@ from .signedlog import SignedLog
 from .specfun import log_factorial
 
 __all__ = [
-    "SegmentLayout",
     "CurveGrid",
     "joint_pdf_ordered",
     "pdf_single",
@@ -156,124 +155,57 @@ def _check_grid(grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
-# ---------------------------------------------------------------------------
-# segment layouts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SegmentLayout:
-    """Fixed eigenvalue positions plus the induced integration segments.
-
-    ``fixed_indices`` are 1-based ranks in ascending order; ``fixed_values``
-    are the corresponding abscissae, which must be strictly decreasing for
-    the density to be nonzero (at a tie it is 0).  Segment s (1-based, up
-    to L+1) covers the free ranks strictly between fixed ranks s-1 and s,
-    and integrates from the value at fixed rank s (or the lower support
-    edge) up to the value at fixed rank s-1 (or the upper support edge).
-    """
-
-    m: int
-    fixed_indices: tuple
-    fixed_values: tuple
-    support: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.fixed_values)
-        object.__setattr__(self, "fixed_indices", _check_fixed(self.m, self.fixed_indices, vals))
-        object.__setattr__(self, "fixed_values", vals)
-
-    @property
-    def count(self) -> int:
-        return len(self.fixed_indices)
-
-    def ordering_holds(self) -> bool:
-        lo, hi = self.support
-        vals = self.fixed_values
-        if any(not (lo <= v <= hi) for v in vals):
-            return False
-        return all(a > b for a, b in zip(vals, vals[1:]))
-
-    def segment_bounds(self, s: int) -> tuple:
-        """Integration range of segment ``s`` in 1..L+1."""
-        if not (1 <= s <= self.count + 1):
-            raise ValueError(f"segment index {s} outside 1..{self.count + 1}")
-        hi = self.support[1] if s == 1 else self.fixed_values[s - 2]
-        lo = self.support[0] if s == self.count + 1 else self.fixed_values[s - 1]
-        return lo, hi
-
-    def segment_of(self, k: int) -> int:
-        """Segment index of a free rank: the unique s with i_(s-1) <= k < i_s."""
-        if k in self.fixed_indices:
-            raise ValueError(f"rank {k} is fixed, not free")
-        if not (1 <= k <= self.m):
-            raise ValueError(f"rank {k} outside 1..{self.m}")
-        s = 1
-        for i in self.fixed_indices:
-            if k > i:
-                s += 1
-        return s
-
-    def log_order_constant(self) -> float:
-        """Log of the combinatorial constant 1 / prod (i_s - i_(s-1) - 1)!."""
-        return _log_order_constant(self.m, self.fixed_indices)
-
-
 def _log_order_constant(m: int, indices: Sequence[int]) -> float:
+    """Log of ``1 / prod (i_s - i_(s-1) - 1)!`` over the segments between the
+    fixed ranks ``i_s`` (with ``i_0 = 0`` and ``i_(L+1) = m + 1``)."""
     bounds = (0, *indices, m + 1)
     return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
 
 
 def _slices(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> list:
     """The slices of several keys at ``count`` abscissa sets, one stack per
-    key (a single slice for a key with no vector that has its pass to
-    itself): the point keys fill theirs in one kernel pass, and so do the
-    segment keys of each tilt.
+    key: ``count`` slices for a key with a vector, and one slice for a key
+    with none, which the operator broadcasts across the sets.  The keys to
+    fill of one tilt share one kernel pass, the point keys counting as one
+    tilt.
 
     Each kernel keeps the slices of its most recent call in ``kernel.memo``,
-    read-only and named by exact value: the float bytes of the point or of
-    the segment ends, the tilt, and the rows of the returned stack.  A call
-    fills only the keys it does not find there, in the same passes, and its
-    own slices then replace the memo.  A slice is bit-identical in any
-    batch, so a reused slice is the one the call would have filled."""
-    passes: dict = {}
-    for i, key in enumerate(keys):
-        passes.setdefault(key[2] if isinstance(key, tuple) else None, []).append(i)
-    parts = [key[:2] if isinstance(key, tuple) else (key,) for key in keys]
+    read-only and named by exact value: the tilt and the float bytes of the
+    point or of the segment ends.  A call fills only the keys it does not
+    find there, and its own slices then replace the memo.  A slice is
+    bit-identical in any batch, so a reused slice is the one the call would
+    have filled."""
     last = kernel.memo.get("slices", {})
-    names = [None] * len(keys)
-    out = [None] * len(keys)
+    names, out, passes = [], [], {}
+    for i, key in enumerate(keys):
+        tilt, parts = (key[2], key[:2]) if isinstance(key, tuple) else (None, (key,))
+        rows, name = 1, [tilt]
+        for value in parts:
+            if isinstance(value, np.ndarray):
+                rows = count if value.ndim else rows
+                name.append((value.shape, np.asarray(value, dtype=float).tobytes()))
+            else:
+                name.append(_DOUBLE(value))
+        names.append(tuple(name))
+        out.append(last.get(names[i]))
+        if out[i] is None:
+            passes.setdefault(tilt, []).append((i, parts, rows))
+    if stats is not None:
+        filled = sum(map(len, passes.values()))
+        stats.slices_filled += filled
+        stats.slices_reused += len(keys) - filled
     for tilt, members in passes.items():
-        missing = []
-        for i in members:
-            # a key with no vector comes back as a single slice when it has
-            # its pass to itself, and as ``count`` rows of a shared pass
-            rows, exact = count if len(members) > 1 else 0, []
-            for value in parts[i]:
-                if isinstance(value, np.ndarray):
-                    rows = count if value.ndim else rows
-                    exact.append((value.shape, np.asarray(value, dtype=float).tobytes()))
-                else:
-                    exact.append(_DOUBLE(value))
-            names[i] = (tilt, rows, *exact)
-            out[i] = last.get(names[i])
-            if out[i] is None:
-                missing.append(i)
-        if stats is not None:
-            stats.slices_filled += len(missing)
-            stats.slices_reused += len(members) - len(missing)
-        if not missing:
-            continue
-        if len(members) == 1:
-            out[missing[0]] = tuple(map(_read_only, kernel.slice(keys[missing[0]])))
-            continue
-        ends = np.empty((len(parts[missing[0]]), len(missing) * count))
-        for j, i in enumerate(missing):
-            for e, value in enumerate(parts[i]):
-                ends[e, j * count : (j + 1) * count] = value
+        ends = np.empty((len(members[0][1]), sum(rows for _, _, rows in members)))
+        start = 0
+        for _, parts, rows in members:
+            for e, value in enumerate(parts):
+                ends[e, start : start + rows] = value
+            start += rows
         signs, logs = map(_read_only, kernel.slice(ends[0] if tilt is None else (ends[0], ends[1], tilt)))
-        for j, i in enumerate(missing):
-            out[i] = signs[j * count : (j + 1) * count], logs[j * count : (j + 1) * count]
+        start = 0
+        for i, _, rows in members:
+            out[i] = signs[start : start + rows], logs[start : start + rows]
+            start += rows
     kernel.memo["slices"] = dict(zip(names, out))
     return out
 
@@ -348,7 +280,8 @@ def _ordered_densities(
     row of ``xs`` (one column per rank), in batched operator calls.
 
     A fixed rank's key is its column of abscissae; the free ranks between two
-    fixed ones share the segment between those columns (``SegmentLayout``).
+    fixed ones share the segment between those columns, and the order
+    constant ``1 / prod (i_s - i_(s-1) - 1)!`` counts their orderings.
     Rows outside the ordered support are 0, among them every row that is not
     strictly decreasing (at a tie the Vandermonde factor vanishes), as is
     every row with an infinite abscissa, where all the weights vanish.  They
@@ -481,6 +414,12 @@ def prob_all_in(
     """
     kernel = kernel_form(model)
     _check_capability(kernel)
+    if method not in ("auto", "determinant", "tensor"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "determinant" and kernel.n != kernel.m:
+        raise ValueError("determinant fast path requires a square kernel")
+    if method == "auto":
+        method = "determinant" if kernel.n == kernel.m else "tensor"
     a, b = _check_abscissa(a), _check_abscissa(b)
     if a >= b:
         raise ValueError(f"inverted interval [{a}, {b}]")
@@ -488,12 +427,6 @@ def prob_all_in(
     hi = min(b, kernel.support[1])
     if hi <= lo:
         return 0.0
-    if method not in ("auto", "determinant", "tensor"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "determinant" and kernel.n != kernel.m:
-        raise ValueError("determinant fast path requires a square kernel")
-    if method == "auto":
-        method = "determinant" if kernel.n == kernel.m else "tensor"
 
     key = (lo, hi, IDENTITY_TILT)
     if method == "determinant":
@@ -829,12 +762,17 @@ def expect_single(model: EnsembleModel, ell: int, fn: Callable[[float], float]) 
 
 
 def moment_single(model: EnsembleModel, ell: int, order: int) -> float:
+    """Moment ``E[lambda_ell^order]`` of the ell-th largest eigenvalue, an
+    ``expect_single`` of ``x**order``; order 0 is the marginal's mass."""
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
     return expect_single(model, ell, lambda x: x**order)
 
 
 def mgf_single(model: EnsembleModel, ell: int, nu: float) -> float:
+    """Moment generating function ``E[exp(nu * lambda_ell)]`` of the ell-th
+    largest eigenvalue; raises ``ValueError`` where it diverges, at ``nu`` at
+    or above the decay rate of the weight."""
     kernel = kernel_form(model)
     if nu >= kernel.max_exp_rate:
         raise ValueError(

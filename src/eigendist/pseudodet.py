@@ -83,9 +83,9 @@ class Tensor3:
 
 
 class EvalStats:
-    """Telemetry for one operator evaluation: the determinants of the
-    permutation sum, and the kernel slices filled for it or reused from the
-    kernel's previous call."""
+    """Telemetry summed over every evaluation it is passed to: the
+    determinants of the permutation sums, and the kernel slices filled for
+    the operators or reused from each kernel's previous call."""
 
     __slots__ = ("determinants", "slices_filled", "slices_reused")
 

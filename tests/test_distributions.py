@@ -19,7 +19,6 @@ from scipy.special import gammainc
 import eigendist.distributions as dist
 from eigendist.distributions import (
     CurveGrid,
-    SegmentLayout,
     cdf_curve,
     cdf_single,
     curve,
@@ -68,49 +67,6 @@ def f_smallest(x):
 
 def joint22(x1, x2):
     return (x1 - x2) ** 2 * math.exp(-x1 - x2)
-
-
-# -- segment layouts -------------------------------------------------------------
-
-
-def test_layout_segments_single_fixed():
-    lay = SegmentLayout(4, (2,), (3.0,), (0.0, math.inf))
-    assert lay.segment_of(1) == 1
-    assert lay.segment_of(3) == 2
-    assert lay.segment_of(4) == 2
-    assert lay.segment_bounds(1) == (3.0, math.inf)
-    assert lay.segment_bounds(2) == (0.0, 3.0)
-    with pytest.raises(ValueError):
-        lay.segment_of(2)  # fixed rank
-
-
-def test_layout_segments_pair():
-    lay = SegmentLayout(4, (1, 3), (5.0, 2.0), (0.0, math.inf))
-    assert lay.segment_of(2) == 2
-    assert lay.segment_bounds(2) == (2.0, 5.0)
-    assert lay.segment_of(4) == 3
-    assert lay.segment_bounds(3) == (0.0, 2.0)
-    assert lay.log_order_constant() == pytest.approx(0.0)  # all gaps 0 or 1
-
-
-def test_layout_ordering_detection():
-    lay = SegmentLayout(3, (1, 2), (1.0, 2.0), (0.0, math.inf))
-    assert not lay.ordering_holds()
-    lay = SegmentLayout(3, (1, 2), (2.0, 1.0), (0.0, math.inf))
-    assert lay.ordering_holds()
-    lay = SegmentLayout(3, (1,), (-1.0,), (0.0, math.inf))
-    assert not lay.ordering_holds()
-    lay = SegmentLayout(3, (1, 2), (2.0, 2.0), (0.0, math.inf))
-    assert not lay.ordering_holds()  # a tie is off the support
-
-
-def test_layout_validation():
-    with pytest.raises(ValueError):
-        SegmentLayout(3, (2, 2), (1.0, 1.0), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        SegmentLayout(3, (0,), (1.0,), (0.0, 1.0))
-    with pytest.raises(ValueError):
-        SegmentLayout(3, (1, 2), (1.0,), (0.0, 1.0))
 
 
 # -- marginal densities ------------------------------------------------------------
@@ -181,10 +137,15 @@ def test_pair_tie_vanishes():
 
 
 def test_pair_index_validation():
-    with pytest.raises(ValueError):
-        pdf_pair(M22, 2, 1, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        pdf_pair(M22, 1, 3, 2.0, 1.0)
+    for indices, xs in [
+        ((2, 1), (2.0, 1.0)),  # ranks out of order
+        ((1, 3), (2.0, 1.0)),  # rank past m
+        ((2, 2), (1.0, 1.0)),  # repeated rank
+        ((0,), (1.0,)),  # rank 0
+        ((1, 2), (1.0,)),  # one abscissa short
+    ]:
+        with pytest.raises(ValueError):
+            joint_pdf_ordered(M22, indices, xs)
 
 
 def test_pair_marginalizes_to_single():
@@ -255,9 +216,13 @@ def test_prob_tensor_path_with_constant_columns():
 
 
 def test_prob_determinant_requires_square():
+    # the method is checked before an interval off the support returns 0
     cw = CorrelatedWishart(2, 3, (2.0, 1.0), (1, 2))
-    with pytest.raises(ValueError, match="square"):
-        prob_all_in(cw, 0.0, 1.0, method="determinant")
+    for a, b in [(0.0, 1.0), (-5.0, -1.0)]:
+        with pytest.raises(ValueError, match="square"):
+            prob_all_in(cw, a, b, method="determinant")
+        with pytest.raises(ValueError, match="unknown method"):
+            prob_all_in(M22, a, b, method="bogus")
 
 
 # -- distribution functions --------------------------------------------------------------
@@ -539,6 +504,36 @@ def test_nan_slice_raises_through_operator(monkeypatch):
     segment = (0.0, 2.0, dist.IDENTITY_TILT)
     with pytest.raises(NumericError, match=r"non-finite element in slice \d at \(2, 3\)"):
         dist._operator(kernel, [4.0, segment, segment], 1)
+
+
+def test_slices_hold_one_slice_per_key_with_no_vector(monkeypatch):
+    # a key with no vector holds one slice, which the operator broadcasts
+    # across the abscissa sets, and a key with a vector one per set; the keys
+    # of one tilt, with a vector or not, share one kernel pass
+    kernel = kernel_form.__wrapped__(UncorrelatedWishart(4, 6))
+    n, (lo, hi) = kernel.n, kernel.support
+    fill, passes = kernel.slice, []
+
+    def spy(key):
+        passes.append(key)
+        return fill(key)
+
+    monkeypatch.setattr(kernel, "slice", spy)
+    xs = np.array([1.0, 2.5, 4.0])
+    keys = [
+        3.0,
+        xs,
+        (lo, hi, dist.IDENTITY_TILT),
+        (xs, hi, dist.IDENTITY_TILT),
+        (lo, hi, Tilt(power=2)),
+    ]
+    stacks = dist._slices(kernel, keys, len(xs))
+    assert [signs.shape for signs, _ in stacks] == [(1, n, n), (3, n, n), (1, n, n), (3, n, n), (1, n, n)]
+    assert len(passes) == 3  # the points, and the segments of each tilt
+    for key, (signs, logs) in zip(keys, stacks):
+        want_signs, want_logs = fill(key)
+        assert np.array_equal(signs, want_signs.reshape(signs.shape))
+        assert np.array_equal(logs, want_logs.reshape(logs.shape))
 
 
 def test_plan_group_spanning_two_slices_rejected():
