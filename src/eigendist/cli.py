@@ -22,29 +22,29 @@ _EXIT_USAGE = 2
 _EXIT_CAPABILITY = 3
 _EXIT_NUMERIC = 4
 
-_ENSEMBLE_KEYS = ("M", "n", "p", "phi", "mult", "sigma1", "sigma2", "mu", "m")
+# ensemble flags and their help; each one sets the spec key of its name
+_ENSEMBLE_FLAGS = {
+    "M": "number of random eigenvalues",
+    "n": "degrees of freedom / weight exponent",
+    "p": "quadratic-form row dimension (correlated)",
+    "phi": "comma list of distinct inverse-covariance eigenvalues",
+    "mult": "comma list of multiplicities matching --phi",
+    "sigma1": "spiked covariance eigenvalue",
+    "sigma2": "bulk covariance eigenvalue",
+    "mu": "comma list of noncentrality eigenvalues",
+    "m": "beta weight exponent",
+}
 
 
 def _add_ensemble_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ensemble", required=True, help="ensemble name, e.g. uncorrelated-wishart")
-    sub.add_argument("--M", help="number of random eigenvalues")
-    sub.add_argument("--n", help="degrees of freedom / weight exponent")
-    sub.add_argument("--p", help="quadratic-form row dimension (correlated)")
-    sub.add_argument("--phi", help="comma list of distinct inverse-covariance eigenvalues")
-    sub.add_argument("--mult", help="comma list of multiplicities matching --phi")
-    sub.add_argument("--sigma1", help="spiked covariance eigenvalue")
-    sub.add_argument("--sigma2", help="bulk covariance eigenvalue")
-    sub.add_argument("--mu", help="comma list of noncentrality eigenvalues")
-    sub.add_argument("--m", help="beta weight exponent")
+    for key, about in _ENSEMBLE_FLAGS.items():
+        sub.add_argument(f"--{key}", help=about)
 
 
 def _model_from_args(args: argparse.Namespace) -> EnsembleModel:
-    tokens = [args.ensemble]
-    for key in _ENSEMBLE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            tokens.append(f"{key}={value}")
-    return parse_spec(" ".join(tokens))
+    pairs = [f"{key}={getattr(args, key)}" for key in _ENSEMBLE_FLAGS if getattr(args, key) is not None]
+    return parse_spec(" ".join([args.ensemble, *pairs]))
 
 
 def _parse_grid(raw: str) -> np.ndarray:
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NUMERIC_FLAGS = {"--a", "--b", "--nu", "--nus", "--at", "--mu", "--grid", "--grid2"}
+# flags whose value may start with "-": the numeric ones and every ensemble flag
+_NUMERIC_FLAGS = {"--a", "--b", "--nu", "--nus", "--at", "--grid", "--grid2", *(f"--{k}" for k in _ENSEMBLE_FLAGS)}
 
 
 def _fold_numeric_flags(argv):

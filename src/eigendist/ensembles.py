@@ -78,14 +78,44 @@ _TILT_PANELS = 2000
 # ---------------------------------------------------------------------------
 
 
+# model field annotations -> (whether the field is a tuple, the type of its entries)
+_KINDS = {"int": (False, int), "float": (False, float),
+          "tuple[int, ...]": (True, int), "tuple[float, ...]": (True, float)}
+
+
+def _kind(cls, field: str) -> tuple:
+    """The kind (see ``_KINDS``) of one field of a model class."""
+    return _KINDS[cls.__annotations__[field]]
+
+
+def _check_fields(model) -> None:
+    """The rule all models share: an integer field, or an entry of an integer
+    tuple, holds an integral value, stored as int; a real field, or an entry
+    of a real tuple, holds a finite value, stored as float.  Anything else
+    raises ``InvalidModelError`` naming the field."""
+    for name in type(model).__annotations__:
+        many, entry_type = _kind(type(model), name)
+        value = getattr(model, name)
+        entries = tuple(map(float, value)) if many else (float(value),)
+        if entry_type is int:
+            if not all(map(float.is_integer, entries)):
+                raise InvalidModelError(f"{name} must be an integer, got {value!r}")
+            entries = tuple(map(int, value)) if many else (int(value),)
+        elif not all(map(math.isfinite, entries)):
+            raise InvalidModelError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(model, name, entries if many else entries[0])
+
+
 @dataclass(frozen=True)
 class UncorrelatedWishart:
-    """Spectrum of X X^H for an iid complex Gaussian dim x n matrix, n >= dim."""
+    """Spectrum of X X^H for an iid complex Gaussian dim x n matrix, with
+    integers n >= dim >= 1."""
 
     dim: int
     n: int
 
     def __post_init__(self):
+        _check_fields(self)
         if self.dim < 1:
             raise InvalidModelError(f"dim must be >= 1, got {self.dim}")
         if self.n < self.dim:
@@ -95,7 +125,8 @@ class UncorrelatedWishart:
 @dataclass(frozen=True)
 class CorrelatedWishart:
     """Nonzero spectrum of X Sigma X^H; phi holds the distinct eigenvalues of
-    Sigma^(-1) in decreasing order with multiplicities mult summing to n.
+    Sigma^(-1), finite and in decreasing order, with integer multiplicities
+    mult summing to the integer n.
 
     The rank-deficient case p > n is accepted; the number of random
     eigenvalues is always min(p, n).
@@ -103,14 +134,13 @@ class CorrelatedWishart:
 
     p: int
     n: int
-    phi: tuple
-    mult: tuple
+    phi: tuple[float, ...]
+    mult: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(float(v) for v in self.phi))
         if any(not float(v).is_integer() for v in self.mult):
             raise InvalidModelError(f"multiplicities must be integers: {self.mult}")
-        object.__setattr__(self, "mult", tuple(int(v) for v in self.mult))
+        _check_fields(self)
         if self.p < 1 or self.n < 1:
             raise InvalidModelError(f"p and n must be >= 1, got p={self.p}, n={self.n}")
         if len(self.phi) != len(self.mult) or not self.phi:
@@ -133,8 +163,8 @@ class CorrelatedWishart:
 
 @dataclass(frozen=True)
 class SpikedWishart:
-    """Wishart spectrum under a spiked covariance: one eigenvalue sigma1, the
-    remaining dim-1 equal to sigma2 < sigma1."""
+    """Wishart spectrum under a spiked covariance: one finite eigenvalue
+    sigma1, the remaining dim-1 equal to sigma2 < sigma1; integers n >= dim."""
 
     dim: int
     n: int
@@ -142,6 +172,7 @@ class SpikedWishart:
     sigma2: float
 
     def __post_init__(self):
+        _check_fields(self)
         if self.dim < 1:
             raise InvalidModelError(f"dim must be >= 1, got {self.dim}")
         if self.n < self.dim:
@@ -162,15 +193,16 @@ class SpikedWishart:
 
 @dataclass(frozen=True)
 class NoncentralWishart:
-    """Spectrum of X X^H with nonzero mean; mu holds the positive eigenvalues
-    of the mean's Gram matrix in decreasing order."""
+    """Spectrum of X X^H with nonzero mean; mu holds the finite positive
+    eigenvalues of the mean's Gram matrix in decreasing order; integers
+    n >= dim."""
 
     dim: int
     n: int
-    mu: tuple
+    mu: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
+        _check_fields(self)
         if self.dim < 1:
             raise InvalidModelError(f"dim must be >= 1, got {self.dim}")
         if self.n < self.dim:
@@ -192,25 +224,28 @@ class NoncentralWishart:
 
 @dataclass(frozen=True)
 class GUE:
-    """Gaussian unitary ensemble of Hermitian dim x dim matrices."""
+    """Gaussian unitary ensemble of Hermitian dim x dim matrices, dim an
+    integer."""
 
     dim: int
 
     def __post_init__(self):
+        _check_fields(self)
         if self.dim < 1:
             raise InvalidModelError(f"dim must be >= 1, got {self.dim}")
 
 
 @dataclass(frozen=True)
 class Beta:
-    """Multivariate beta (double Wishart) spectrum on (0, 1) with integer
-    weight exponents m and n."""
+    """Multivariate beta (double Wishart) spectrum on (0, 1) of integer dim,
+    with integer weight exponents m and n."""
 
     dim: int
     m: int
     n: int
 
     def __post_init__(self):
+        _check_fields(self)
         if self.dim < 1:
             raise InvalidModelError(f"dim must be >= 1, got {self.dim}")
         if self.m < 0 or self.n < 0:
@@ -247,10 +282,6 @@ class Tilt:
         if self.fn is not None:
             out *= self.fn(x)
         return out
-
-    @property
-    def is_identity(self) -> bool:
-        return self.power == 0 and self.rate == 0.0 and self.fn is None
 
 
 IDENTITY_TILT = Tilt()
@@ -606,7 +637,7 @@ class _GammaKernel(KernelForm):
         return _signed(signs, logs)
 
 
-class _UncorrelatedKernel(_MonomialSquareKernel, _GammaKernel):
+class _UncorrelatedKernel(_GammaKernel):
     def __init__(self, model: UncorrelatedWishart):
         self.model = model
         self.m = self.n = model.dim
@@ -908,132 +939,83 @@ def mean_eigenvalue_sum(model: EnsembleModel) -> Optional[float]:
 # flat key-value ensemble specs
 # ---------------------------------------------------------------------------
 
-_SPEC_NAMES = {
-    "uncorrelated-wishart",
-    "correlated-wishart",
-    "spiked-wishart",
-    "noncentral-wishart",
-    "gue",
-    "beta",
+# spec name -> model class and its (key, field) pairs in spec order; a
+# field's kind says how its value is read and written
+_SPECS = {
+    "uncorrelated-wishart": (UncorrelatedWishart, (("M", "dim"), ("n", "n"))),
+    "correlated-wishart": (CorrelatedWishart, (("p", "p"), ("n", "n"), ("phi", "phi"), ("mult", "mult"))),
+    "spiked-wishart": (SpikedWishart, (("M", "dim"), ("n", "n"), ("sigma1", "sigma1"), ("sigma2", "sigma2"))),
+    "noncentral-wishart": (NoncentralWishart, (("M", "dim"), ("n", "n"), ("mu", "mu"))),
+    "gue": (GUE, (("M", "dim"),)),
+    "beta": (Beta, (("M", "dim"), ("m", "m"), ("n", "n"))),
 }
+_SPEC_OF = {cls: (name, pairs) for name, (cls, pairs) in _SPECS.items()}
 
 
-def _num_list(raw: str) -> tuple:
+def _read(key: str, raw: str, many: bool, entry_type: type):
+    """A spec value read as its field's type: an integer, a number, or a
+    comma-separated number list (whose entries the model checks)."""
     try:
-        return tuple(float(v) for v in raw.split(","))
+        return tuple(float(v) for v in raw.split(",")) if many else entry_type(raw)
     except ValueError:
-        raise ValueError(f"expected a comma-separated number list, got {raw!r}") from None
+        what = "a comma-separated number list" if many else {int: "an integer", float: "a number"}[entry_type]
+        raise ValueError(f"key {key!r} must be {what}, got {raw!r}") from None
 
 
-def _int_value(kv: dict, key: str) -> int:
-    if key not in kv:
-        raise ValueError(f"missing required key {key!r}")
-    raw = kv.pop(key)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"key {key!r} must be an integer, got {raw!r}") from None
-
-
-def _float_value(kv: dict, key: str) -> float:
-    if key not in kv:
-        raise ValueError(f"missing required key {key!r}")
-    raw = kv.pop(key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"key {key!r} must be a number, got {raw!r}") from None
+def _fmt(v) -> str:
+    # shortest digits that parse back to the same number; whole numbers bare
+    text = repr(v)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def parse_spec(text: str) -> EnsembleModel:
     """Parse a flat ensemble spec like
     ``correlated-wishart p=4 n=6 phi=2.0,1.0 mult=2,4``.
 
-    The ensemble name may appear bare as the first token or as
-    ``ensemble=<name>``.
+    The ensemble name appears once, as the spec's only bare word or as
+    ``ensemble=<name>``, and each key appears once.
     """
     tokens = text.split()
     if not tokens:
         raise ValueError("empty ensemble spec")
-    kv = {}
-    name = None
+    name, kv = None, {}
     for tok in tokens:
-        if "=" in tok:
-            key, _, value = tok.partition("=")
-            if key == "ensemble":
-                name = value
-            else:
-                kv[key] = value
+        key, eq, value = tok.partition("=")
+        if eq and key != "ensemble":
+            if key in kv:
+                raise ValueError(f"key {key!r} appears twice in ensemble spec")
+            kv[key] = value
         elif name is None:
-            name = tok
+            name = value if eq else tok
+        elif eq:
+            raise ValueError(f"ensemble spec names two ensembles, {name!r} and {value!r}")
         else:
             raise ValueError(f"unexpected token {tok!r} in ensemble spec")
     if name is None:
         raise ValueError("ensemble spec does not name an ensemble")
     name = name.lower()
-    if name not in _SPEC_NAMES:
-        raise ValueError(
-            f"unknown ensemble {name!r}; expected one of {sorted(_SPEC_NAMES)}"
-        )
-
-    if name == "uncorrelated-wishart":
-        model = UncorrelatedWishart(dim=_int_value(kv, "M"), n=_int_value(kv, "n"))
-    elif name == "correlated-wishart":
-        p = _int_value(kv, "p")
-        n = _int_value(kv, "n")
-        if "phi" not in kv:
-            raise ValueError("missing required key 'phi'")
-        phi = _num_list(kv.pop("phi"))
-        if "mult" not in kv:
-            raise ValueError("missing required key 'mult'")
-        mult = _num_list(kv.pop("mult"))
-        model = CorrelatedWishart(p=p, n=n, phi=phi, mult=mult)
-    elif name == "spiked-wishart":
-        model = SpikedWishart(
-            dim=_int_value(kv, "M"),
-            n=_int_value(kv, "n"),
-            sigma1=_float_value(kv, "sigma1"),
-            sigma2=_float_value(kv, "sigma2"),
-        )
-    elif name == "noncentral-wishart":
-        if "mu" not in kv:
-            raise ValueError("missing required key 'mu'")
-        mu = _num_list(kv.pop("mu"))
-        model = NoncentralWishart(dim=_int_value(kv, "M"), n=_int_value(kv, "n"), mu=mu)
-    elif name == "gue":
-        model = GUE(dim=_int_value(kv, "M"))
-    else:
-        model = Beta(dim=_int_value(kv, "M"), m=_int_value(kv, "m"), n=_int_value(kv, "n"))
-
+    if name not in _SPECS:
+        raise ValueError(f"unknown ensemble {name!r}; expected one of {sorted(_SPECS)}")
+    cls, pairs = _SPECS[name]
+    fields = {}
+    for key, field in pairs:
+        if key not in kv:
+            raise ValueError(f"missing required key {key!r}")
+        fields[field] = _read(key, kv.pop(key), *_kind(cls, field))
+    model = cls(**fields)
     if kv:
         raise ValueError(f"unknown keys in ensemble spec: {sorted(kv)}")
     return model
 
 
-def _fmt(v: float) -> str:
-    # shortest digits that parse back to the same float; whole numbers bare
-    text = repr(float(v))
-    return text[:-2] if text.endswith(".0") else text
-
-
 def spec_string(model: EnsembleModel) -> str:
     """Flat key-value form accepted back by :func:`parse_spec`."""
-    if isinstance(model, UncorrelatedWishart):
-        return f"uncorrelated-wishart M={model.dim} n={model.n}"
-    if isinstance(model, CorrelatedWishart):
-        phi = ",".join(_fmt(v) for v in model.phi)
-        mult = ",".join(str(v) for v in model.mult)
-        return f"correlated-wishart p={model.p} n={model.n} phi={phi} mult={mult}"
-    if isinstance(model, SpikedWishart):
-        return (
-            f"spiked-wishart M={model.dim} n={model.n} "
-            f"sigma1={_fmt(model.sigma1)} sigma2={_fmt(model.sigma2)}"
-        )
-    if isinstance(model, NoncentralWishart):
-        mu = ",".join(_fmt(v) for v in model.mu)
-        return f"noncentral-wishart M={model.dim} n={model.n} mu={mu}"
-    if isinstance(model, GUE):
-        return f"gue M={model.dim}"
-    if isinstance(model, Beta):
-        return f"beta M={model.dim} m={model.m} n={model.n}"
-    raise InvalidModelError(f"unsupported ensemble {type(model).__name__}")
+    if type(model) not in _SPEC_OF:
+        raise InvalidModelError(f"unsupported ensemble {type(model).__name__}")
+    name, pairs = _SPEC_OF[type(model)]
+    words = [name]
+    for key, field in pairs:
+        value = getattr(model, field)
+        text = ",".join(map(_fmt, value)) if _kind(type(model), field)[0] else _fmt(value)
+        words.append(f"{key}={text}")
+    return " ".join(words)

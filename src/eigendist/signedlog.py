@@ -71,10 +71,6 @@ class SignedLog:
             mag = math.inf
         return self.sign * mag
 
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "SignedLog") -> "SignedLog":
@@ -123,11 +119,6 @@ class SignedLog:
     def scaled(self, factor: float) -> "SignedLog":
         """Multiply by a plain float without an intermediate conversion."""
         return self * SignedLog.of(factor)
-
-    def abs(self) -> "SignedLog":
-        if self.sign < 0:
-            return SignedLog(1, self.logmag)
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SignedLog({self.sign:+d}, {self.logmag:.6g})"

@@ -5,6 +5,16 @@ import math
 
 import pytest
 
+from eigendist import (
+    GUE,
+    Beta,
+    CorrelatedWishart,
+    NoncentralWishart,
+    SpikedWishart,
+    UncorrelatedWishart,
+    prob_all_in,
+    spec_string,
+)
 from eigendist.cli import main
 
 
@@ -159,6 +169,19 @@ def test_exit_codes():
         ["prob-interval", "--ensemble", "beta", "--M", "3", "--m", "1", "--n", "2",
          "--a", "nan", "--b", "0.5"]
     ) == 2  # NaN endpoint
+    assert main(
+        ["prob-interval", "--ensemble", "noncentral-wishart", "--M", "2", "--n", "3",
+         "--mu", "inf", "--a", "0", "--b", "5"]
+    ) == 2  # non-finite model parameter
+    assert main(
+        ["prob-interval", "--ensemble", "spiked-wishart", "--M", "2", "--n", "3",
+         "--sigma1", "inf", "--sigma2", "1", "--a", "0", "--b", "5"]
+    ) == 2
+    assert main(["prob-interval", "--ensemble", "gue", "--M", "2.5", "--a", "0", "--b", "5"]) == 2
+    assert main(
+        ["prob-interval", "--ensemble", "spiked-wishart", "--M", "2", "--n", "3",
+         "--sigma1", "2", "--sigma2", "-1", "--a", "0", "--b", "5"]
+    ) == 2  # a negative flag value reaches the model's check
 
 
 def test_grid_endpoints_inclusive(capsys):
@@ -206,3 +229,27 @@ def test_reproduce_figures_manifest(tmp_path, capsys):
     fig1 = (outdir / "fig01.csv").read_text()
     assert fig1.count("# ensemble=") == 4
     assert len(fig1.strip().split("\n")) == 4 * 13
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        UncorrelatedWishart(3, 5),
+        CorrelatedWishart(3, 5, (2.5, 1.0), (2, 3)),
+        SpikedWishart(3, 4, 6.25, 1.5),
+        NoncentralWishart(3, 4, (3.0, 0.5)),
+        GUE(3),
+        Beta(3, 1, 2),
+    ],
+    ids=spec_string,
+)
+def test_every_ensemble_through_the_flags(capsys, model):
+    # each key=value of the spec becomes one --key value flag
+    name, *pairs = spec_string(model).split()
+    flags = ["--ensemble", name]
+    for pair in pairs:
+        key, _, value = pair.partition("=")
+        flags += [f"--{key}", value]
+    code, out, _ = run(capsys, "prob-interval", *flags, "--a", "0.5", "--b", "3")
+    assert code == 0
+    assert out == f"{prob_all_in(model, 0.5, 3):.17g}\n"

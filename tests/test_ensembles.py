@@ -495,6 +495,37 @@ def test_invalid_models_name_the_constraint():
         Beta(2, -1, 2)
     with pytest.raises(InvalidModelError, match=">= 1"):
         GUE(0)
+    # integer fields take integral values only, and real fields finite ones
+    with pytest.raises(InvalidModelError, match="n must be an integer, got 3.5"):
+        UncorrelatedWishart(2, 3.5)
+    with pytest.raises(InvalidModelError, match="n must be an integer, got 3.5"):
+        SpikedWishart(2, 3.5, 2.0, 1.0)
+    with pytest.raises(InvalidModelError, match="n must be an integer, got 3.5"):
+        NoncentralWishart(2, 3.5, (1.0,))
+    with pytest.raises(InvalidModelError, match="dim must be an integer, got 2.5"):
+        GUE(2.5)
+    with pytest.raises(InvalidModelError, match="dim must be an integer, got nan"):
+        GUE(math.nan)
+    with pytest.raises(InvalidModelError, match="p must be an integer"):
+        CorrelatedWishart(2.5, 3, (2.0, 1.0), (1, 2))
+    with pytest.raises(InvalidModelError, match="m must be an integer"):
+        Beta(2, 1.5, 2)
+    with pytest.raises(InvalidModelError, match="sigma1 must be finite, got inf"):
+        SpikedWishart(2, 3, math.inf, 1.0)
+    with pytest.raises(InvalidModelError, match="sigma2 must be finite, got nan"):
+        SpikedWishart(2, 3, 2.0, math.nan)
+    with pytest.raises(InvalidModelError, match="mu must be finite"):
+        NoncentralWishart(2, 3, (math.inf,))
+    with pytest.raises(InvalidModelError, match="phi must be finite"):
+        CorrelatedWishart(2, 3, (math.nan, 1.0), (1, 2))
+
+
+def test_integral_fields_are_stored_as_int():
+    for model in (GUE(3.0), GUE(np.int64(3)), UncorrelatedWishart(np.int32(3), 5.0), Beta(3, 1.0, np.int64(2))):
+        assert all(type(getattr(model, f)) is int for f in model.__dataclass_fields__), model
+    model = SpikedWishart(4, 5, 10, np.float64(1.0))
+    assert type(model.sigma1) is float and type(model.sigma2) is float
+    assert model == SpikedWishart(4, 5, 10.0, 1.0)
 
 
 def test_spiked_conditioning_warning():
@@ -544,8 +575,25 @@ def test_parse_spec_errors():
         parse_spec("uncorrelated-wishart M=2")
     with pytest.raises(ValueError, match="unknown keys"):
         parse_spec("gue M=2 n=3")
+    with pytest.raises(ValueError, match="key 'M' appears twice"):
+        parse_spec("gue M=2 M=3")
+    with pytest.raises(ValueError, match="names two ensembles, 'gue' and 'beta'"):
+        parse_spec("gue ensemble=beta M=2 m=1 n=1")
+    with pytest.raises(ValueError, match="key 'phi' must be a comma-separated number list, got '2,,1'"):
+        parse_spec("correlated-wishart p=2 n=3 phi=2,,1 mult=1,2")
+    with pytest.raises(InvalidModelError, match="mu must be finite"):
+        parse_spec("noncentral-wishart M=2 n=3 mu=inf")
 
 
 def test_spec_string_round_trips():
     for model in MODELS + [SpikedWishart(4, 5, 10.123456789, 1.0)]:
         assert parse_spec(spec_string(model)) == model
+
+
+def test_spec_string_text_is_pinned():
+    # CSV headers and the benchmark's CLI flags carry this text
+    assert spec_string(SpikedWishart(4, 5, 10.123456789, 1.0)) == "spiked-wishart M=4 n=5 sigma1=10.123456789 sigma2=1"
+    model = CorrelatedWishart(4, 6, (2.5, 0.1), (2.0, 4))
+    assert spec_string(model) == "correlated-wishart p=4 n=6 phi=2.5,0.1 mult=2,4"
+    assert spec_string(NoncentralWishart(3, 4, (3.0, 0.25))) == "noncentral-wishart M=3 n=4 mu=3,0.25"
+    assert spec_string(Beta(np.int64(3), 1, 2)) == "beta M=3 m=1 n=2"
