@@ -11,8 +11,9 @@ of the permutation plan, also when they are not adjacent; this is exact,
 because they share one slice.  Each kernel also keeps the slices of its
 last call, and the next call reuses those it asks for again, so every rank
 at one abscissa fills the point slice and the segments below and above it
-once (``_slices``).  Slices M+1..N hold the kernel's constant columns, one
-singleton group each.  Tied abscissae never reach the operator: two equal
+once (``_slices``).  A kernel with constant columns adds its constant
+rows below the M gathered rows of every determinant, with no positions of
+their own in the plan.  Tied abscissae never reach the operator: two equal
 eigenvalues make the Vandermonde factor vanish, so every density at a tie
 is exactly 0.
 
@@ -45,6 +46,7 @@ counting polynomial.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -67,10 +69,12 @@ from .pseudodet import (
     GroupedPermutationPlan,
     _batch_det,
     _det_from_arrays,
-    _grouped_sum,
+    _Gather,
+    _scale_rows,
+    _table_sum,
+    _violation,
 )
 from .quadrature import integrate
-from .signedlog import SignedLog
 from .specfun import log_factorial
 
 __all__ = [
@@ -162,21 +166,30 @@ def _log_order_constant(m: int, indices: Sequence[int]) -> float:
     return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
 
 
-def _slices(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> list:
+def _slices(
+    kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None, scaled: bool = False
+) -> list:
     """The slices of several keys at ``count`` abscissa sets, one stack per
     key: ``count`` slices for a key with a vector, and one slice for a key
     with none, which the operator broadcasts across the sets.  The keys to
     fill of one tilt share one kernel pass, the point keys counting as one
     tilt.
 
-    Each kernel keeps the slices of its most recent call in ``kernel.memo``,
-    read-only and named by exact value: the tilt and the float bytes of the
-    point or of the segment ends.  A call fills only the keys it does not
-    find there, and its own slices then replace the memo.  A slice is
-    bit-identical in any batch, so a reused slice is the one the call would
-    have filled."""
-    last = kernel.memo.get("slices", {})
-    names, out, passes = [], [], {}
+    A slice is checked when it is filled, as ``Tensor3`` checks its entries,
+    and its first m rows, the only ones a nonzero term of the operator
+    reads, are scaled by their largest magnitudes (``pseudodet._scale_rows``).
+    With ``scaled``, the call returns those rows and their log shifts in
+    place of the slices.
+
+    Each kernel keeps the slices of its most recent call, and their scaled
+    rows, in ``kernel.memo``, read-only and named by exact value: the tilt
+    and the float bytes of the point or of the segment ends.  A call fills
+    only the keys it does not find there, and its own slices then replace
+    the memo; a slice that fails its check raises ``NumericError`` and
+    never enters it.  A slice is bit-identical in any batch, so a reused
+    slice is the one the call would have filled."""
+    last, last_scaled = kernel.memo.get("slices", {}), kernel.memo.get("scaled", {})
+    names, out, out_scaled, passes = [], [], [], {}
     for i, key in enumerate(keys):
         tilt, parts = (key[2], key[:2]) if isinstance(key, tuple) else (None, (key,))
         rows, name = 1, [tilt]
@@ -188,6 +201,7 @@ def _slices(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Eval
                 name.append(_DOUBLE(value))
         names.append(tuple(name))
         out.append(last.get(names[i]))
+        out_scaled.append(last_scaled.get(names[i]))
         if out[i] is None:
             passes.setdefault(tilt, []).append((i, parts, rows))
     if stats is not None:
@@ -195,19 +209,25 @@ def _slices(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Eval
         stats.slices_filled += filled
         stats.slices_reused += len(keys) - filled
     for tilt, members in passes.items():
-        ends = np.empty((len(members[0][1]), sum(rows for _, _, rows in members)))
-        start = 0
-        for _, parts, rows in members:
+        spans = list(itertools.accumulate((rows for _, _, rows in members), initial=0))
+        ends = np.empty((len(members[0][1]), spans[-1]))
+        for (_, parts, _), start, stop in zip(members, spans, spans[1:]):
             for e, value in enumerate(parts):
-                ends[e, start : start + rows] = value
-            start += rows
-        signs, logs = map(_read_only, kernel.slice(ends[0] if tilt is None else (ends[0], ends[1], tilt)))
-        start = 0
-        for i, _, rows in members:
-            out[i] = signs[start : start + rows], logs[start : start + rows]
-            start += rows
+                ends[e, start:stop] = value
+        signs, logs = kernel.slice(ends[0] if tilt is None else (ends[0], ends[1], tilt))
+        found = _violation(signs, logs)
+        if found is not None:
+            what, (row, a, b) = found
+            i = next(i for (i, _, _), stop in zip(members, spans[1:]) if row < stop)
+            raise NumericError(f"{what} in slice {i + 1} at ({a + 1}, {b + 1})")
+        top, shift, _ = _scale_rows(signs[:, : kernel.m], logs[:, : kernel.m])
+        signs, logs, top, shift = map(_read_only, (signs, logs, top, shift))
+        for (i, _, _), start, stop in zip(members, spans, spans[1:]):
+            out[i] = signs[start:stop], logs[start:stop]
+            out_scaled[i] = top[start:stop], shift[start:stop]
     kernel.memo["slices"] = dict(zip(names, out))
-    return out
+    kernel.memo["scaled"] = dict(zip(names, out_scaled))
+    return out_scaled if scaled else out
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -216,11 +236,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> list:
+def _const_rows(kernel: KernelForm) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's constant block C, checked and scaled by row once per
+    kernel and kept in ``kernel.memo``: the scaled rows and their shifts."""
+    const = kernel.memo.get("const")
+    if const is None:
+        signs, logs = kernel.const_rows
+        found = _violation(signs, logs)
+        if found is not None:
+            what, (a, b) = found
+            raise NumericError(f"{what} in constant row {a + 1} at column {b + 1}")
+        const = kernel.memo["const"] = _scale_rows(signs, logs)[:2]
+    return const
+
+
+def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> tuple:
     """The operator over one slice key per eigenvalue position, at ``count``
     abscissa sets: a point key is an abscissa or a vector of them, one per
-    set, and either end of a segment key may be such a vector.  Returns one
-    signed-log value per set.
+    set, and either end of a segment key may be such a vector.  Returns the
+    signs and the logs of the values, one per set, as two lists.
 
     Positions given the same key object form one group; no key value is
     compared, so callers hand one key object to every position of one slice.
@@ -228,35 +262,46 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
     costs more determinants.  Tied abscissae would be such keys: callers
     return their density, exactly 0, without the operator.
 
-    The permutation sum gets the distinct slices of each set, one per group
-    and then one per constant row, a (count, G + n - m, n, n) stack, with
-    the slice of every position (``pseudodet._grouped_sum``).
+    In the dense n x n x n tensor, constant position k holds constant row
+    k-m in rows k..n-1 of its slice, so a nonzero term takes row k there,
+    and the plan covers only the m random positions.  The permutation sum
+    (``pseudodet._table_sum``) gets a table of scaled rows per set: the
+    first m rows of each group's slice, then the constant block C
+    (``_const_rows``).  Each grouping's ``_Gather``, its row indices into
+    that table, is kept in ``kernel.memo``.
     """
     groups: dict = {}
     for k, key in enumerate(keys):
         groups.setdefault(id(key), (key, []))[1].append(k)
     groups = list(groups.values())
+    positions = tuple(tuple(ks) for _, ks in groups)
+    gather = kernel.memo.get(("gather", positions))
+    m, n = kernel.m, kernel.n
+    if gather is None:
+        where = np.empty(m, dtype=np.intp)
+        for s, ks in enumerate(positions):
+            where[list(ks)] = s
+        gather = _Gather(GroupedPermutationPlan(m, positions), where, m, n - m)
+        kernel.memo[("gather", positions)] = gather
+    end = len(groups) * m
+    rows, shifts = np.empty((count, end + n - m, n)), np.empty((count, end + n - m))
+    for s, (top, shift) in enumerate(_slices(kernel, [key for key, _ in groups], count, stats, scaled=True)):
+        rows[:, s * m : (s + 1) * m], shifts[:, s * m : (s + 1) * m] = top, shift
+    rows[:, end:], shifts[:, end:] = _const_rows(kernel)
+    return _table_sum(rows, shifts, gather, stats)
 
-    n, m = kernel.n, kernel.m
-    g = len(groups)
-    signs = np.empty((count, g + n - m, n, n))
-    logs = np.empty((count, g + n - m, n, n))
-    where = np.empty(n, dtype=np.intp)
-    for s, (ms, ml) in enumerate(_slices(kernel, [key for key, _ in groups], count, stats)):
-        signs[:, s], logs[:, s] = ms, ml
-        where[groups[s][1]] = s
-    # the slice of constant position k holds constant row k-m in rows k..n-1
-    const_signs, const_logs = kernel.const_rows
-    for k in range(m, n):
-        s = where[k] = g + k - m
-        signs[:, s, :k], logs[:, s, :k] = 0.0, -_INF
-        signs[:, s, k:], logs[:, s, k:] = const_signs[k - m], const_logs[k - m]
-    positions = tuple(tuple(ks) for _, ks in groups) + tuple((k,) for k in range(m, n))
-    # one plan per grouping, so that it enumerates its representatives once
-    plan = kernel.memo.get(("plan", positions))
-    if plan is None:
-        plan = kernel.memo[("plan", positions)] = GroupedPermutationPlan(n, positions)
-    return _grouped_sum(signs, logs, where, plan, stats)
+
+def _floats(scale_sign: int, log_scale: float, values: tuple) -> list:
+    """The operator's values, as signs and logs, times a scale, as floats;
+    an overflow reads as an infinity, as in ``SignedLog.to_float``."""
+    out = []
+    for sign, log in zip(*values):
+        sign *= scale_sign
+        try:
+            out.append(sign * math.exp(log_scale + log) if sign else 0.0)
+        except OverflowError:
+            out.append(sign * _INF)
+    return out
 
 
 def _unordered_values(
@@ -264,8 +309,8 @@ def _unordered_values(
 ) -> list:
     """Exchangeable statistic at ``count`` abscissa sets: the operator over
     ``keys``, divided by M!."""
-    scale = kernel.log_k * SignedLog.from_log(-log_factorial(kernel.m))
-    return [(scale * value).to_float() for value in _operator(kernel, keys, count, stats)]
+    log_scale = kernel.log_k.logmag - log_factorial(kernel.m)
+    return _floats(kernel.log_k.sign, log_scale, _operator(kernel, keys, count, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +341,17 @@ def _ordered_densities(
         if all(lo <= v <= hi and abs(v) < _INF for v in row) and all(a > b for a, b in zip(row, row[1:]))
     ]
     out = np.zeros(len(xs))
-    scale = SignedLog.from_log(_log_order_constant(kernel.m, indices)) * kernel.log_k
+    log_scale = _log_order_constant(kernel.m, indices) + kernel.log_k.logmag
+    bounds = (0, *indices, kernel.m + 1)
     step = max(1, _CHUNK // kernel.n)
     for start in range(0, len(rows), step):
         part = rows[start : start + step]
-        cols = [xs[part, j] for j in range(xs.shape[1])]
+        cols = list(xs[part].T)
         ends = [hi, *cols, lo]
-        segments = [(ends[s + 1], ends[s], IDENTITY_TILT) for s in range(len(cols) + 1)]
-        fixed = dict(zip(indices, cols))
-        keys = [
-            fixed[k] if k in fixed else segments[sum(i < k for i in indices)]
-            for k in range(1, kernel.m + 1)
-        ]
-        out[part] = [(scale * value).to_float() for value in _operator(kernel, keys, len(part), stats)]
+        keys = []
+        for s, (first, stop) in enumerate(zip(bounds, bounds[1:])):
+            keys += [(ends[s + 1], ends[s], IDENTITY_TILT)] * (stop - first - 1) + cols[s : s + 1]
+        out[part] = _floats(kernel.log_k.sign, log_scale, _operator(kernel, keys, len(part), stats))
     return out
 
 

@@ -458,10 +458,12 @@ class KernelForm:
     @functools.cached_property
     def memo(self) -> dict:
         """Values derived from this kernel by the statistics layer (grouping
-        plans, marginal quadrature cuts, the densities at quadrature nodes,
-        and the slices of the last call that filled any: its point slices
-        and its segment slices of every tilt, read-only); they are dropped
-        with the kernel, so ``kernel_form.cache_clear()`` clears them too."""
+        plans as row indices, the checked and scaled constant rows, marginal
+        quadrature cuts, the densities at quadrature nodes, and the slices of
+        the last call that filled any, with their scaled rows: its point
+        slices and its segment slices of every tilt, read-only); they are
+        dropped with the kernel, so ``kernel_form.cache_clear()`` clears them
+        too."""
         return {}
 
     # -- table rule: the weighted row products at a point or over a segment ----

@@ -8,21 +8,30 @@ assigned first-indices inside that set changes the determinant's row order
 and the permutation sign by the same transposition parity, so one
 representative per assignment class suffices with a factorial multiplicity
 weight.  All determinants run in sign-tracked log scale with per-row
-rescaling, and the outer sum is merged chunk-by-chunk in a fixed order.
+rescaling.
 
-The sum needs only the distinct slices: the kernel (``_grouped_sum``) takes
-them as a stack with a map from each position to its slice, so a group of
-equal positions hands over one n x n slice, not one per position.  Every
-slice row is scaled by its largest magnitude once per call, and each
-representative gathers the scaled rows its positions pick.  A plan is
-checked against the map, which is exact: a group must name one slice.  The
-public entries take a dense ``Tensor3`` and pass its slices on, one per
-group (``pseudo_det_grouped``) or one per position (``pseudo_det``).
+The sum needs only the distinct slices, and of those only scaled rows.
+Its kernel (``_table_sum``) takes a table of rows, each divided by its
+largest magnitude and carrying that log shift, and a ``_Gather``: the plan
+as flat row indices into the table, one array per chunk, with its log
+multiplicity.  Each representative's determinant gathers the rows its
+positions pick, so a group of equal positions hands over one slice, not one
+per position, and a caller that evaluates one grouping many times keeps
+its ``_Gather`` and its scaled rows.  Constant rows C, which every nonzero
+term of a kernel with constant columns takes at their own positions, are
+the table's last rows: each determinant is the gathered rows stacked on C,
+so they add no permutations and no determinants.  A gather is checked
+against the map from positions to slices, which is exact: a group must
+name one slice.  The public entries take a dense ``Tensor3``, scale its
+slices once per call, one per group (``pseudo_det_grouped``) or one per
+position (``pseudo_det``), and pass them on with an empty constant block.
 
-The slices may carry a leading batch axis, one operator per abscissa set of
-a statistic: every representative's determinant for all of them runs in one
-stacked ``slogdet``, and each operator keeps its own chunked sum, so its
-value is the one it has when evaluated alone.
+The rows may carry a leading batch axis, one operator per abscissa set of
+a statistic: every representative's determinant for all of them runs in
+one stacked ``slogdet``, and each operator keeps its own sum, so its value
+is the one it has when evaluated alone.  A plan of one chunk sums each
+operator's terms exactly (``math.fsum``); a larger plan merges them chunk
+by chunk in a fixed order.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ __all__ = [
     "pseudo_det_grouped",
 ]
 
+_INF = math.inf
 # permutations per determinant batch; bounds the (B, N, N) work arrays
 _CHUNK = 4096
 # plans with at most this many representatives keep their enumeration
@@ -84,8 +94,9 @@ class Tensor3:
 
 class EvalStats:
     """Telemetry summed over every evaluation it is passed to: the
-    determinants of the permutation sums, and the kernel slices filled for
-    the operators or reused from each kernel's previous call."""
+    determinants the permutation sums take (constant rows add none), and the
+    kernel slices filled for the operators or reused from each kernel's
+    previous call."""
 
     __slots__ = ("determinants", "slices_filled", "slices_reused")
 
@@ -120,19 +131,15 @@ def _scale_rows(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.nda
     return scaled, shift, finite
 
 
-def _scaled_det(scaled: np.ndarray, shift: np.ndarray, finite: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of a (..., N, N) stack of scaled rows (``_scale_rows``):
-    the ``slogdet`` of the rows plus their shifts, 0 where a row is zero."""
+def _batch_det(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of a (..., N, N) stack of signed-log matrices: the
+    ``slogdet`` of the scaled rows (``_scale_rows``) plus their shifts, 0
+    where a row is zero."""
+    scaled, shift, finite = _scale_rows(signs, logs)
     sgn, logdet = np.linalg.slogdet(scaled)
-    total = logdet + shift.sum(axis=-1)
-    total = np.where(finite.all(axis=-1), total, -np.inf)
+    total = np.where(finite.all(axis=-1), logdet + shift.sum(axis=-1), -np.inf)
     sgn = np.where(np.isfinite(total), sgn, 0.0)
     return sgn, np.where(sgn == 0.0, -np.inf, total)
-
-
-def _batch_det(signs: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants of a (..., N, N) stack of signed-log matrices."""
-    return _scaled_det(*_scale_rows(signs, logs))
 
 
 def _det_from_arrays(signs: np.ndarray, logs: np.ndarray) -> SignedLog:
@@ -294,28 +301,91 @@ def _chunks(mu_iter):
         yield batch, _perm_signs(batch)
 
 
-def _permutation_sum(signs: np.ndarray, logs: np.ndarray, where: np.ndarray, chunks, stats: EvalStats | None) -> list:
-    """One signed sum per operator of a (count, S, n, n) slice stack, over
-    the permutations of ``chunks``; row k of a permutation's matrix is row
-    mu_k of slice ``where[k]``.  The rows are scaled once, and each chunk of
-    permutations runs over as many operators at once as keep a stacked
-    ``slogdet`` within _CHUNK determinants.  Every operator merges its terms
-    chunk by chunk in the same order as alone."""
-    scaled, shift, finite = _scale_rows(signs, logs)
-    accs = [SignedLogSum() for _ in range(len(scaled))]
-    for batch, parity in chunks:
-        step = max(1, _CHUNK // len(batch))
-        for start in range(0, len(accs), step):
-            part = slice(start, start + step)
-            det_sgn, det_log = _scaled_det(
-                scaled[part, where, batch], shift[part, where, batch], finite[part, where, batch]
-            )
-            det_sgn = det_sgn * parity
-            if stats is not None:
-                stats.determinants += det_sgn.size
-            for acc, s, l in zip(accs[part], det_sgn, det_log):
-                acc.add_terms(s, l)
-    return [acc.total() for acc in accs]
+class _Gather:
+    """A grouping plan laid over a table of scaled rows, with the constants
+    every evaluation of it reuses: its log multiplicity, and its
+    representatives as flat row indices, one (B, N) array per chunk with its
+    parity signs.
+
+    The table holds ``width`` rows per slice, slice s from row s*width, and
+    ``where`` maps each position to its slice, so position k of a
+    representative mu takes row ``where[k]*width + mu_k``.  The last
+    ``tail`` rows of the table, a constant block, follow in order as the last
+    rows of every determinant.  Each group of the plan must name one slice,
+    which makes the grouping exact.  A plan of at most _CACHED_REPS
+    representatives keeps its index arrays."""
+
+    __slots__ = ("plan", "reps", "log_weight", "_where", "_tail", "_kept")
+
+    def __init__(self, plan: GroupedPermutationPlan, where: np.ndarray, width: int, tail: int):
+        if len(where) != plan.n:
+            raise InvalidPlanError(f"plan dimension {plan.n} does not match {len(where)} slice positions")
+        for group in plan.groups:
+            if len({int(where[k]) for k in group}) != 1:
+                raise InvalidPlanError(f"group {group} spans several slices")
+        self.plan = plan
+        self.reps = plan.representative_count
+        self.log_weight = math.log(float(plan.multiplicity))
+        self._where = np.asarray(where, dtype=np.intp) * width
+        self._tail = np.arange(-tail, 0)
+        self._kept = tuple(self._index()) if self.reps <= _CACHED_REPS else None
+
+    def chunks(self):
+        return self._index() if self._kept is None else self._kept
+
+    def _index(self):
+        n = self.plan.n
+        for mu, parity in self.plan.chunks():
+            index = np.empty((len(mu), n + len(self._tail)), dtype=np.intp)
+            index[:, :n] = self._where + mu
+            index[:, n:] = self._tail
+            yield index, parity
+
+
+def _table_sum(rows: np.ndarray, shifts: np.ndarray, gather: _Gather, stats: EvalStats | None = None) -> tuple:
+    """The grouped permutation sums of ``count`` operators over a table of
+    scaled rows (``_scale_rows``), ``rows`` (count, R, N) with their log
+    shifts (count, R).  A representative's term is the determinant of the
+    rows its index picks, whose log adds their shifts summed in position
+    order.  Returns the operators' signs and logs, as two lists, with the
+    plan's multiplicity in the logs.
+
+    A plan of one chunk sums each operator's terms exactly, scaled by the
+    largest (``math.fsum``); a larger plan merges them chunk by chunk, in one
+    ``SignedLogSum`` per operator."""
+    if gather.reps <= _CHUNK:
+        ((index, parity),) = gather.chunks()
+        signs, logs = _chunk_dets(rows, shifts, index, parity, stats)
+        peak = logs.max(axis=1)
+        peak[peak == -_INF] = 0.0  # every term zero: any finite scale
+        totals = [math.fsum(terms) for terms in (signs * np.exp(logs - peak[:, None])).tolist()]
+        return [(total > 0.0) - (total < 0.0) for total in totals], [
+            top + math.log(abs(total)) + gather.log_weight if total else -_INF
+            for top, total in zip(peak.tolist(), totals)
+        ]
+    accs = [SignedLogSum() for _ in rows]
+    for index, parity in gather.chunks():
+        for acc, s, l in zip(accs, *_chunk_dets(rows, shifts, index, parity, stats)):
+            acc.add_terms(s, l)
+    totals = [acc.total() for acc in accs]
+    return [t.sign for t in totals], [t.logmag + gather.log_weight for t in totals]
+
+
+def _chunk_dets(rows, shifts, index, parity, stats) -> tuple[np.ndarray, np.ndarray]:
+    """The signed terms (count, B) of one chunk of representatives, over as
+    many operators at once as keep a stacked ``slogdet`` within _CHUNK
+    determinants.  A zero row, whose shift is 0, makes its determinant an
+    exact zero."""
+    count, reps = len(rows), len(index)
+    if stats is not None:
+        stats.determinants += count * reps
+    step = max(1, _CHUNK // reps)
+    parts = []
+    for start in range(0, count, step):
+        signs, logs = np.linalg.slogdet(rows[start : start + step].take(index, axis=1))
+        logs += shifts[start : start + step].take(index, axis=1).sum(axis=-1)
+        parts.append((signs * parity, logs))
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def _grouped_sum(
@@ -324,53 +394,42 @@ def _grouped_sum(
     where: np.ndarray,
     plan: GroupedPermutationPlan,
     stats: EvalStats | None = None,
-) -> list:
+) -> tuple:
     """Grouped evaluation of a stack of operators given by their distinct
-    slices: ``signs`` and ``logs`` hold S slices for each of ``count``
-    operators, (count, S, n, n), and position k takes slice ``where[k]``.
-    Returns one value per operator.
-
-    Every slice entry is checked as ``Tensor3`` checks its entries, and each
-    group of the plan must name one slice, which makes the grouping exact."""
-    found = _violation(signs, logs)
-    if found is not None:
-        what, (_, s, i, j) = found
-        raise NumericError(f"{what} in slice {s + 1} at ({i + 1}, {j + 1})")
-    if len(where) != plan.n:
-        raise InvalidPlanError(f"plan dimension {plan.n} does not match {len(where)} slice positions")
-    for group in plan.groups:
-        if len({int(where[k]) for k in group}) != 1:
-            raise InvalidPlanError(f"group {group} spans several slices")
-    weight = SignedLog.of(float(plan.multiplicity))
-    return [total * weight for total in _permutation_sum(signs, logs, where, plan.chunks(), stats)]
+    slices, with no constant block: ``signs`` and ``logs`` hold S checked
+    slices for each of ``count`` operators, (count, S, n, n), and position k
+    takes slice ``where[k]``.  Every slice row is scaled once per call.
+    Returns the signs and logs of the operators' values, as ``_table_sum``."""
+    gather = _Gather(plan, where, signs.shape[-1], 0)
+    scaled, shift, _ = _scale_rows(signs, logs)
+    count, _, n = shift.shape
+    return _table_sum(scaled.reshape(count, -1, n), shift.reshape(count, -1), gather, stats)
 
 
-def _position_slices(tensor: Tensor3, positions) -> tuple[np.ndarray, np.ndarray]:
-    """The slices of a tensor (or stack) at the given positions as a
-    (count, S, n, n) stack."""
+def _tensor_sum(tensor: Tensor3, positions, where: np.ndarray, plan: GroupedPermutationPlan, stats):
+    """``_grouped_sum`` over the slices of a tensor (or stack) at the given
+    positions: one value for a tensor, the signs and logs for a stack."""
     n = tensor.n
-    return tuple(
+    slices = (
         np.ascontiguousarray(np.moveaxis(a.reshape(-1, n, n, n)[..., positions], -1, 1))
         for a in (tensor.signs, tensor.logs)
     )
+    signs, logs = _grouped_sum(*slices, where, plan, stats)
+    return (signs, logs) if tensor.signs.ndim == 4 else SignedLog.from_log(logs[0], signs[0])
 
 
 def pseudo_det(tensor: Tensor3, stats: EvalStats | None = None):
     """Full permutation-sum evaluation: one determinant per slice permutation.
-    A stack of tensors gives a list of values."""
+    A stack of tensors gives the signs and logs of its values, as two lists."""
     positions = np.arange(tensor.n)
-    mu_iter = (np.asarray(p, dtype=np.intp) for p in itertools.permutations(range(tensor.n)))
-    totals = _permutation_sum(*_position_slices(tensor, positions), positions, _chunks(mu_iter), stats)
-    return totals if tensor.signs.ndim == 4 else totals[0]
+    return _tensor_sum(tensor, positions, positions, GroupedPermutationPlan.singletons(tensor.n), stats)
 
 
 def pseudo_det_grouped(tensor: Tensor3, plan: GroupedPermutationPlan, stats: EvalStats | None = None):
     """Grouped evaluation over class representatives with multiplicity weight.
-    A stack of tensors gives a list of values, one per tensor."""
+    A stack of tensors gives the signs and logs of its values, as two lists."""
     plan.check_against(tensor)
     where = np.empty(plan.n, dtype=np.intp)
     for s, group in enumerate(plan.groups):
         where[list(group)] = s
-    slices = _position_slices(tensor, [group[0] for group in plan.groups])
-    totals = _grouped_sum(*slices, where, plan, stats)
-    return totals if tensor.signs.ndim == 4 else totals[0]
+    return _tensor_sum(tensor, [group[0] for group in plan.groups], where, plan, stats)

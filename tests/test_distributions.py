@@ -47,12 +47,14 @@ from eigendist.ensembles import (
 )
 from eigendist.errors import CapabilityError, InvalidPlanError, NumericError
 from eigendist.pseudodet import (
+    _CHUNK,
     EvalStats,
     GroupedPermutationPlan,
     Tensor3,
     _grouped_sum,
     pseudo_det_grouped,
 )
+from eigendist.signedlog import SignedLog, SignedLogSum
 
 M22 = UncorrelatedWishart(2, 2)
 
@@ -379,8 +381,9 @@ def test_marginal_grouping_telemetry_with_constant_columns():
     cw = CorrelatedWishart(2, 4, (2.0, 1.0), (2, 2))
     stats = EvalStats()
     pdf_single(cw, 1, 2.0, stats=stats)
-    # kernel dimension 4, one free rank below the fixed one: 4!/1! = 24
-    assert stats.determinants == 24
+    # a nonzero term takes each constant row at its own position, so only
+    # the two random positions permute, one free rank below the fixed one: 2!/1! = 2
+    assert stats.determinants == 2
 
 
 def test_unordered_pdf_grouping_telemetry():
@@ -402,13 +405,13 @@ def test_unordered_grouping_by_factor_value(monkeypatch, call, groups):
     # equal factors arrive as separate objects; they must still share one
     # slice key, or the plan would take more determinants than it needs
     plans = []
-    engine = dist._grouped_sum
+    engine = dist._table_sum
 
-    def spy(signs, logs, where, plan, stats=None):
-        plans.append(plan)
-        return engine(signs, logs, where, plan, stats)
+    def spy(rows, shifts, gather, stats=None):
+        plans.append(gather.plan)
+        return engine(rows, shifts, gather, stats)
 
-    monkeypatch.setattr(dist, "_grouped_sum", spy)
+    monkeypatch.setattr(dist, "_table_sum", spy)
     call(UncorrelatedWishart(4, 5))
     assert [plan.groups for plan in plans] == [groups]
 
@@ -417,7 +420,39 @@ def test_pair_grouping_telemetry_with_constant_columns():
     stats = EvalStats()
     cw = CorrelatedWishart(3, 5, (2.0, 1.0), (2, 3))
     joint_pdf_ordered(cw, (1, 3), (6.0, 1.0), stats=stats)
-    assert stats.determinants == 120  # 5!: every slice is its own group
+    # 3!: the three random positions each have their own slice, and the two
+    # constant rows add no permutations
+    assert stats.determinants == 6
+
+
+def test_full_joint_with_constant_columns_permutes_only_the_random_positions():
+    # kernel dimension 8 with 6 random positions: 6! determinants, not 8!
+    cw = CorrelatedWishart(6, 8, (2.0, 1.0), (3, 5))
+    xs = (20.0, 14.0, 9.0, 6.0, 3.0, 1.0)
+    stats = EvalStats()
+    got = joint_pdf_ordered(cw, range(1, 7), xs, stats=stats)
+    assert stats.determinants == 720
+    assert got == pytest.approx(kernel_form(cw).ordered_density(xs), rel=1e-10)
+
+
+def test_plan_of_ten_chunks_merges_them_chunk_by_chunk(monkeypatch):
+    # the full joint of W8x10 has 8! = 40320 representatives, ten chunks
+    # merged in one SignedLogSum
+    model = UncorrelatedWishart(8, 10)
+    xs = (30.0, 21.0, 15.0, 10.5, 7.0, 4.2, 2.0, 0.6)
+    merged = []
+    add_terms = SignedLogSum.add_terms
+
+    def spy(acc, signs, logs):
+        merged.append(len(signs))
+        return add_terms(acc, signs, logs)
+
+    monkeypatch.setattr(SignedLogSum, "add_terms", spy)
+    stats = EvalStats()
+    got = joint_pdf_ordered(model, range(1, 9), xs, stats=stats)
+    assert stats.determinants == math.factorial(8)
+    assert len(merged) == 10 and max(merged) == _CHUNK and sum(merged) == math.factorial(8)
+    assert got == pytest.approx(kernel_form(model).ordered_density(xs), rel=1e-7)
 
 
 # -- distinct slices against the dense tensor ---------------------------------------
@@ -506,6 +541,44 @@ def test_nan_slice_raises_through_operator(monkeypatch):
         dist._operator(kernel, [4.0, segment, segment], 1)
 
 
+def test_nan_constant_row_raises():
+    kernel = kernel_form.__wrapped__(CorrelatedWishart(3, 5, (2.0, 1.0), (2, 3)))
+    signs, logs = kernel.const_rows
+    logs = logs.copy()
+    logs[1, 3] = np.nan
+    kernel.const_rows = signs, logs
+    with pytest.raises(NumericError, match=r"non-finite element in constant row 2 at column 4"):
+        dist._operator(kernel, [4.0, 2.0, 1.0], 1)
+    assert "const" not in kernel.memo
+
+
+def test_poisoned_slice_raises_when_filled_and_stays_out_of_the_memo(monkeypatch):
+    # a slice is checked once, when it is filled; one that fails never enters
+    # the memo, so the next call with its key fills and checks it again
+    kernel = kernel_form.__wrapped__(UncorrelatedWishart(3, 5))
+    fill = kernel.slice
+    clean = (0.0, 2.0, dist.IDENTITY_TILT)
+    dist._operator(kernel, [4.0, clean, clean], 1)
+    before = dict(kernel.memo["slices"])
+    passes = []
+
+    def poisoned(key):
+        passes.append(key)
+        signs, logs = fill(key)
+        logs = logs.copy()
+        logs[..., 0, 1] = np.inf
+        return signs, logs
+
+    monkeypatch.setattr(kernel, "slice", poisoned)
+    segment = (0.0, 3.0, dist.IDENTITY_TILT)
+    for _ in range(2):
+        with pytest.raises(NumericError, match=r"non-finite element in slice 2 at \(1, 2\)"):
+            dist._operator(kernel, [4.0, segment, segment], 1)
+        assert kernel.memo["slices"].keys() == before.keys()
+    # the point slice at 4.0 is reused; the segment is filled by each call
+    assert len(passes) == 2 and all(isinstance(key, tuple) for key in passes)
+
+
 def test_slices_hold_one_slice_per_key_with_no_vector(monkeypatch):
     # a key with no vector holds one slice, which the operator broadcasts
     # across the abscissa sets, and a key with a vector one per set; the keys
@@ -541,9 +614,9 @@ def test_plan_group_spanning_two_slices_rejected():
     signs = np.sign(rng.standard_normal((1, 2, 3, 3)))
     logs = rng.standard_normal((1, 2, 3, 3))
     plan = GroupedPermutationPlan(3, ((0, 1), (2,)))
-    (value,) = _grouped_sum(signs, logs, np.array([0, 0, 1]), plan)
+    (sign,), (log,) = _grouped_sum(signs, logs, np.array([0, 0, 1]), plan)
     dense = Tensor3(signs[0, [0, 0, 1]].transpose(1, 2, 0), logs[0, [0, 0, 1]].transpose(1, 2, 0))
-    assert value == pseudo_det_grouped(dense, plan)
+    assert SignedLog.from_log(log, sign) == pseudo_det_grouped(dense, plan)
     with pytest.raises(InvalidPlanError, match=r"group \(0, 1\)"):
         _grouped_sum(signs, logs, np.array([0, 1, 1]), plan)
 
