@@ -166,9 +166,7 @@ def _log_order_constant(m: int, indices: Sequence[int]) -> float:
     return -sum(log_factorial(b - a - 1) for a, b in zip(bounds, bounds[1:]))
 
 
-def _slices(
-    kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None, scaled: bool = False
-) -> list:
+def _slices(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> list:
     """The slices of several keys at ``count`` abscissa sets, one stack per
     key: ``count`` slices for a key with a vector, and one slice for a key
     with none, which the operator broadcasts across the sets.  The keys to
@@ -178,18 +176,18 @@ def _slices(
     A slice is checked when it is filled, as ``Tensor3`` checks its entries,
     and its first m rows, the only ones a nonzero term of the operator
     reads, are scaled by their largest magnitudes (``pseudodet._scale_rows``).
-    With ``scaled``, the call returns those rows and their log shifts in
-    place of the slices.
+    Each key gets a pair: the slice stack, as signs and logs, and its scaled
+    rows with their log shifts.
 
-    Each kernel keeps the slices of its most recent call, and their scaled
-    rows, in ``kernel.memo``, read-only and named by exact value: the tilt
-    and the float bytes of the point or of the segment ends.  A call fills
-    only the keys it does not find there, and its own slices then replace
-    the memo; a slice that fails its check raises ``NumericError`` and
-    never enters it.  A slice is bit-identical in any batch, so a reused
-    slice is the one the call would have filled."""
-    last, last_scaled = kernel.memo.get("slices", {}), kernel.memo.get("scaled", {})
-    names, out, out_scaled, passes = [], [], [], {}
+    Each kernel keeps the pairs of its most recent call in ``kernel.memo``,
+    read-only and named by exact value: the tilt and the float bytes of the
+    point or of the segment ends.  A call fills only the keys it does not
+    find there, and its own pairs then replace the memo; a slice that fails
+    its check raises ``NumericError`` and never enters it.  A slice is
+    bit-identical in any batch, so a reused slice is the one the call would
+    have filled."""
+    last = kernel.memo.get("slices", {})
+    names, out, passes = [], [], {}
     for i, key in enumerate(keys):
         tilt, parts = (key[2], key[:2]) if isinstance(key, tuple) else (None, (key,))
         rows, name = 1, [tilt]
@@ -201,7 +199,6 @@ def _slices(
                 name.append(_DOUBLE(value))
         names.append(tuple(name))
         out.append(last.get(names[i]))
-        out_scaled.append(last_scaled.get(names[i]))
         if out[i] is None:
             passes.setdefault(tilt, []).append((i, parts, rows))
     if stats is not None:
@@ -223,11 +220,9 @@ def _slices(
         top, shift, _ = _scale_rows(signs[:, : kernel.m], logs[:, : kernel.m])
         signs, logs, top, shift = map(_read_only, (signs, logs, top, shift))
         for (i, _, _), start, stop in zip(members, spans, spans[1:]):
-            out[i] = signs[start:stop], logs[start:stop]
-            out_scaled[i] = top[start:stop], shift[start:stop]
+            out[i] = (signs[start:stop], logs[start:stop]), (top[start:stop], shift[start:stop])
     kernel.memo["slices"] = dict(zip(names, out))
-    kernel.memo["scaled"] = dict(zip(names, out_scaled))
-    return out_scaled if scaled else out
+    return out
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -285,7 +280,7 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
         kernel.memo[("gather", positions)] = gather
     end = len(groups) * m
     rows, shifts = np.empty((count, end + n - m, n)), np.empty((count, end + n - m))
-    for s, (top, shift) in enumerate(_slices(kernel, [key for key, _ in groups], count, stats, scaled=True)):
+    for s, (_, (top, shift)) in enumerate(_slices(kernel, [key for key, _ in groups], count, stats)):
         rows[:, s * m : (s + 1) * m], shifts[:, s * m : (s + 1) * m] = top, shift
     rows[:, end:], shifts[:, end:] = _const_rows(kernel)
     return _table_sum(rows, shifts, gather, stats)
@@ -577,7 +572,7 @@ def _count_distribution(kernel: KernelForm, x) -> np.ndarray:
     const = kernel.const_rows
     below, above = (
         (s[:, :m], l[:, :m])
-        for s, l in _slices(kernel, [(lo, flat, IDENTITY_TILT), (flat, hi, IDENTITY_TILT)], count)
+        for (s, l), _ in _slices(kernel, [(lo, flat, IDENTITY_TILT), (flat, hi, IDENTITY_TILT)], count)
     )
     ends = [
         np.stack([np.concatenate([block[k], np.broadcast_to(const[k], (count,) + const[k].shape)], axis=1)

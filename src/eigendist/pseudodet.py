@@ -25,6 +25,8 @@ against the map from positions to slices, which is exact: a group must
 name one slice.  The public entries take a dense ``Tensor3``, scale its
 slices once per call, one per group (``pseudo_det_grouped``) or one per
 position (``pseudo_det``), and pass them on with an empty constant block.
+``pseudo_det`` lists its permutations with ``itertools.permutations``, not
+through the grouped enumeration, so the two entries check each other.
 
 The rows may carry a leading batch axis, one operator per abscissa set of
 a statistic: every representative's determinant for all of them runs in
@@ -312,12 +314,16 @@ class _Gather:
     representative mu takes row ``where[k]*width + mu_k``.  The last
     ``tail`` rows of the table, a constant block, follow in order as the last
     rows of every determinant.  Each group of the plan must name one slice,
-    which makes the grouping exact.  A plan of at most _CACHED_REPS
-    representatives keeps its index arrays."""
+    which makes the grouping exact.  ``representatives`` lists the
+    representatives afresh on each call, by default ``_representatives`` of
+    the plan.  A plan of at most _CACHED_REPS representatives keeps its
+    index arrays."""
 
-    __slots__ = ("plan", "reps", "log_weight", "_where", "_tail", "_kept")
+    __slots__ = ("plan", "reps", "log_weight", "_where", "_tail", "_representatives", "_kept")
 
-    def __init__(self, plan: GroupedPermutationPlan, where: np.ndarray, width: int, tail: int):
+    def __init__(
+        self, plan: GroupedPermutationPlan, where: np.ndarray, width: int, tail: int, representatives=None
+    ):
         if len(where) != plan.n:
             raise InvalidPlanError(f"plan dimension {plan.n} does not match {len(where)} slice positions")
         for group in plan.groups:
@@ -328,6 +334,7 @@ class _Gather:
         self.log_weight = math.log(float(plan.multiplicity))
         self._where = np.asarray(where, dtype=np.intp) * width
         self._tail = np.arange(-tail, 0)
+        self._representatives = representatives or functools.partial(_representatives, plan.groups, plan.n)
         self._kept = tuple(self._index()) if self.reps <= _CACHED_REPS else None
 
     def chunks(self):
@@ -335,7 +342,7 @@ class _Gather:
 
     def _index(self):
         n = self.plan.n
-        for mu, parity in self.plan.chunks():
+        for mu, parity in _chunks(self._representatives()):
             index = np.empty((len(mu), n + len(self._tail)), dtype=np.intp)
             index[:, :n] = self._where + mu
             index[:, n:] = self._tail
@@ -351,8 +358,9 @@ def _table_sum(rows: np.ndarray, shifts: np.ndarray, gather: _Gather, stats: Eva
     plan's multiplicity in the logs.
 
     A plan of one chunk sums each operator's terms exactly, scaled by the
-    largest (``math.fsum``); a larger plan merges them chunk by chunk, in one
-    ``SignedLogSum`` per operator."""
+    largest (``math.fsum``), with no accumulator per operator; a larger plan
+    merges them chunk by chunk, in one ``SignedLogSum`` per operator.  For
+    one chunk both give the same bits."""
     if gather.reps <= _CHUNK:
         ((index, parity),) = gather.chunks()
         signs, logs = _chunk_dets(rows, shifts, index, parity, stats)
@@ -394,19 +402,20 @@ def _grouped_sum(
     where: np.ndarray,
     plan: GroupedPermutationPlan,
     stats: EvalStats | None = None,
+    representatives=None,
 ) -> tuple:
     """Grouped evaluation of a stack of operators given by their distinct
     slices, with no constant block: ``signs`` and ``logs`` hold S checked
     slices for each of ``count`` operators, (count, S, n, n), and position k
     takes slice ``where[k]``.  Every slice row is scaled once per call.
     Returns the signs and logs of the operators' values, as ``_table_sum``."""
-    gather = _Gather(plan, where, signs.shape[-1], 0)
+    gather = _Gather(plan, where, signs.shape[-1], 0, representatives)
     scaled, shift, _ = _scale_rows(signs, logs)
     count, _, n = shift.shape
     return _table_sum(scaled.reshape(count, -1, n), shift.reshape(count, -1), gather, stats)
 
 
-def _tensor_sum(tensor: Tensor3, positions, where: np.ndarray, plan: GroupedPermutationPlan, stats):
+def _tensor_sum(tensor: Tensor3, positions, where, plan: GroupedPermutationPlan, stats, representatives=None):
     """``_grouped_sum`` over the slices of a tensor (or stack) at the given
     positions: one value for a tensor, the signs and logs for a stack."""
     n = tensor.n
@@ -414,15 +423,19 @@ def _tensor_sum(tensor: Tensor3, positions, where: np.ndarray, plan: GroupedPerm
         np.ascontiguousarray(np.moveaxis(a.reshape(-1, n, n, n)[..., positions], -1, 1))
         for a in (tensor.signs, tensor.logs)
     )
-    signs, logs = _grouped_sum(*slices, where, plan, stats)
+    signs, logs = _grouped_sum(*slices, where, plan, stats, representatives)
     return (signs, logs) if tensor.signs.ndim == 4 else SignedLog.from_log(logs[0], signs[0])
 
 
 def pseudo_det(tensor: Tensor3, stats: EvalStats | None = None):
-    """Full permutation-sum evaluation: one determinant per slice permutation.
-    A stack of tensors gives the signs and logs of its values, as two lists."""
-    positions = np.arange(tensor.n)
-    return _tensor_sum(tensor, positions, positions, GroupedPermutationPlan.singletons(tensor.n), stats)
+    """Full permutation-sum evaluation: one determinant per slice permutation,
+    listed by ``itertools.permutations``, apart from the grouped route's
+    enumeration.  A stack of tensors gives the signs and logs of its values,
+    as two lists."""
+    n = tensor.n
+    positions = np.arange(n)
+    plan = GroupedPermutationPlan.singletons(n)
+    return _tensor_sum(tensor, positions, positions, plan, stats, lambda: itertools.permutations(range(n)))
 
 
 def pseudo_det_grouped(tensor: Tensor3, plan: GroupedPermutationPlan, stats: EvalStats | None = None):

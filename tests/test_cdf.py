@@ -476,15 +476,16 @@ def test_slice_memo_holds_one_call():
     memo = kernel.memo["slices"]
     assert len(memo) == 2
     last = [kernel.slice(xs[-1:]), kernel.slice((0.0, xs[-1:], IDENTITY_TILT))]
-    for signs, logs in memo.values():
+    for (signs, logs), _ in memo.values():
         assert any(np.array_equal(signs, s) and np.array_equal(logs, l) for s, l in last)
 
 
 def test_slice_memo_is_read_only():
     kernel_form.cache_clear()
     pdf_pair(W46, 1, 3, 6.0, 2.0)
-    arrays = [a for pair in kernel_form(W46).memo["slices"].values() for a in pair]
-    assert len(arrays) == 8
+    # each of the four slices, and its scaled rows with their shifts
+    arrays = [a for entry in kernel_form(W46).memo["slices"].values() for pair in entry for a in pair]
+    assert len(arrays) == 16
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):

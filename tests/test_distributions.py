@@ -601,9 +601,9 @@ def test_slices_hold_one_slice_per_key_with_no_vector(monkeypatch):
         (lo, hi, Tilt(power=2)),
     ]
     stacks = dist._slices(kernel, keys, len(xs))
-    assert [signs.shape for signs, _ in stacks] == [(1, n, n), (3, n, n), (1, n, n), (3, n, n), (1, n, n)]
+    assert [signs.shape for (signs, _), _ in stacks] == [(1, n, n), (3, n, n), (1, n, n), (3, n, n), (1, n, n)]
     assert len(passes) == 3  # the points, and the segments of each tilt
-    for key, (signs, logs) in zip(keys, stacks):
+    for key, ((signs, logs), _) in zip(keys, stacks):
         want_signs, want_logs = fill(key)
         assert np.array_equal(signs, want_signs.reshape(signs.shape))
         assert np.array_equal(logs, want_logs.reshape(logs.shape))
