@@ -313,6 +313,16 @@ def _unordered_values(
 # ---------------------------------------------------------------------------
 
 
+def _ordered_rows(kernel: KernelForm, xs: np.ndarray) -> list:
+    """The indices of the rows of ``xs`` inside the ordered support: finite
+    abscissae in the support, strictly decreasing along the row."""
+    lo, hi = kernel.support
+    return [
+        r for r, row in enumerate(xs.tolist())
+        if all(lo <= v <= hi and abs(v) < _INF for v in row) and all(a > b for a, b in zip(row, row[1:]))
+    ]
+
+
 def _ordered_densities(
     kernel: KernelForm, indices: Sequence[int], xs: np.ndarray, stats: Optional[EvalStats] = None
 ) -> np.ndarray:
@@ -331,10 +341,7 @@ def _ordered_densities(
     """
     lo, hi = kernel.support
     xs = np.asarray(xs, dtype=float)
-    rows = [
-        r for r, row in enumerate(xs.tolist())
-        if all(lo <= v <= hi and abs(v) < _INF for v in row) and all(a > b for a, b in zip(row, row[1:]))
-    ]
+    rows = _ordered_rows(kernel, xs)
     out = np.zeros(len(xs))
     log_scale = _log_order_constant(kernel.m, indices) + kernel.log_k.logmag
     bounds = (0, *indices, kernel.m + 1)
@@ -413,26 +420,26 @@ def joint_pdf_unordered(
     xs = [_check_abscissa(v) for v in xs]
     if len(xs) != count:
         raise ValueError(f"expected {count} abscissae, got {len(xs)}")
-    lo, hi = kernel.support
-    if len(set(xs)) < count or any(not (lo <= v <= hi) or math.isinf(v) for v in xs):
-        return 0.0
-    return _unordered_values(kernel, xs + [(lo, hi, IDENTITY_TILT)] * (m - count), 1, stats)[0]
+    return float(_unordered_densities(kernel, np.array([xs]), stats)[0])
 
 
-def _unordered_curve(kernel: KernelForm, grid: np.ndarray) -> np.ndarray:
-    """``joint_pdf_unordered`` of one eigenvalue at every grid point, in
-    batched operator calls: the grid points inside the support are one
-    vector point key, and the other eigenvalues share one full-support
-    segment.  Points outside the support, or infinite, are 0 and dropped
-    first; the rest go in calls sized as in ``_ordered_densities``."""
+def _unordered_densities(kernel: KernelForm, xs: np.ndarray, stats: Optional[EvalStats] = None) -> np.ndarray:
+    """``joint_pdf_unordered`` at every row of ``xs`` (one column per
+    eigenvalue), in batched operator calls.  Each row is sorted in
+    descending order first, so the density is symmetric bit for bit.  Each
+    column is one vector point key, and the other eigenvalues share one
+    full-support segment.  Rows with a point outside the support or
+    infinite, or with two equal points, are 0 and dropped first; the rest
+    go in calls sized as in ``_ordered_densities``."""
     lo, hi = kernel.support
-    inside = np.flatnonzero((grid >= lo) & (grid <= hi) & np.isfinite(grid))
-    out = np.zeros(len(grid))
+    xs = np.sort(xs, axis=1)[:, ::-1]
+    rows = _ordered_rows(kernel, xs)
+    out = np.zeros(len(xs))
+    segments = [(lo, hi, IDENTITY_TILT)] * (kernel.m - xs.shape[1])
     step = max(1, _CHUNK // kernel.n)
-    for start in range(0, len(inside), step):
-        part = inside[start : start + step]
-        keys = [grid[part]] + [(lo, hi, IDENTITY_TILT)] * (kernel.m - 1)
-        out[part] = _unordered_values(kernel, keys, len(part))
+    for start in range(0, len(rows), step):
+        part = rows[start : start + step]
+        out[part] = _unordered_values(kernel, list(xs[part].T) + segments, len(part), stats)
     return out
 
 
@@ -754,8 +761,9 @@ _EPSABS, _EPSREL = 1e-9, 1e-8
 _MAX_PANELS = 300
 
 
-def _integrate_marginal(model: EnsembleModel, ell: int, weight: Callable[[float], float]) -> float:
-    """Integral of ``weight(x) * pdf_single(ell, x)`` over the support by the
+def expect_single(model: EnsembleModel, ell: int, fn: Callable[[float], float]) -> float:
+    """Expectation of ``fn`` under the marginal of the ell-th eigenvalue: the
+    integral of ``fn(x) * pdf_single(ell, x)`` over the support by the
     round-based adaptive Gauss-Kronrod rule of ``quadrature.integrate``.
 
     The panels start as the pieces between the cuts of the closed-form
@@ -770,9 +778,9 @@ def _integrate_marginal(model: EnsembleModel, ell: int, weight: Callable[[float]
     The density is the tensor engine's, so the total mass stays an
     independent check of the normalizer that the closed-form distribution
     functions share.  The densities at the nodes are kept on the kernel, and
-    since the nodes depend on the weight only through the halvings,
+    since the nodes depend on ``fn`` only through the halvings,
     expectations of one marginal (the moments of a ``moments`` request)
-    share most of them.  The weight is not asked where the density is 0."""
+    share most of them.  ``fn`` is not asked where the density is 0."""
     kernel = kernel_form(model)
     _check_capability(kernel)
     _check_rank(kernel, ell)
@@ -788,15 +796,10 @@ def _integrate_marginal(model: EnsembleModel, ell: int, weight: Callable[[float]
         if missing:
             values = _ordered_densities(kernel, (ell,), np.array(missing)[:, None])
             densities.update(zip(missing, values.tolist()))
-        # far out the density underflows to 0 before a growing weight overflows
-        return np.array([weight(v) * densities[v] if densities[v] else 0.0 for v in nodes])
+        # far out the density underflows to 0 before a growing fn overflows
+        return np.array([fn(v) * densities[v] if densities[v] else 0.0 for v in nodes])
 
     return float(integrate(integrand, pieces, _EPSABS, _EPSREL, _MAX_PANELS))
-
-
-def expect_single(model: EnsembleModel, ell: int, fn: Callable[[float], float]) -> float:
-    """Expectation of ``fn`` under the marginal of the ell-th eigenvalue."""
-    return _integrate_marginal(model, ell, fn)
 
 
 def moment_single(model: EnsembleModel, ell: int, order: int) -> float:
@@ -933,7 +936,7 @@ def curve(
     elif statistic == "unordered-pdf":
         kernel = kernel_form(model)
         _check_capability(kernel)
-        values = _unordered_curve(kernel, grid)
+        values = _unordered_densities(kernel, grid[:, None])
         meta["indices"] = "unordered"
     else:
         raise ValueError(f"unknown statistic {statistic!r}")

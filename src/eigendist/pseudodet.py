@@ -31,9 +31,9 @@ through the grouped enumeration, so the two entries check each other.
 The rows may carry a leading batch axis, one operator per abscissa set of
 a statistic: every representative's determinant for all of them runs in
 one stacked ``slogdet``, and each operator keeps its own sum, so its value
-is the one it has when evaluated alone.  A plan of one chunk sums each
-operator's terms exactly (``math.fsum``); a larger plan merges them chunk
-by chunk in a fixed order.
+is the one it has when evaluated alone.  Each chunk of representatives sums
+each operator's terms exactly (``math.fsum``), and the chunks of a larger
+plan merge in a fixed order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPlanError, NumericError
-from .signedlog import SignedLog, SignedLogSum
+from .signedlog import SignedLog
 
 __all__ = [
     "Tensor3",
@@ -60,8 +60,6 @@ __all__ = [
 _INF = math.inf
 # permutations per determinant batch; bounds the (B, N, N) work arrays
 _CHUNK = 4096
-# plans with at most this many representatives keep their enumeration
-_CACHED_REPS = 1024
 
 
 class Tensor3:
@@ -221,15 +219,6 @@ class GroupedPermutationPlan:
     def representative_count(self) -> int:
         return math.factorial(self.n) // self.multiplicity
 
-    def chunks(self):
-        """Class representatives in chunks of at most _CHUNK, each with its
-        parity signs.  A plan of at most _CACHED_REPS representatives
-        enumerates them once and keeps them, for a caller that evaluates one
-        grouping at many abscissae."""
-        if self.representative_count > _CACHED_REPS:
-            return _chunks(_representatives(self.groups, self.n))
-        return self._kept_chunks
-
     @functools.cached_property
     def _first(self) -> np.ndarray:
         """The first position of each position's group."""
@@ -237,10 +226,6 @@ class GroupedPermutationPlan:
         for g in self.groups:
             first[list(g)] = g[0]
         return first
-
-    @functools.cached_property
-    def _kept_chunks(self) -> tuple:
-        return tuple(_chunks(_representatives(self.groups, self.n)))
 
     def check_against(self, tensor: Tensor3, rtol: float = 1e-12) -> None:
         """Check that every entry of each group's slices equals the group's
@@ -316,8 +301,9 @@ class _Gather:
     rows of every determinant.  Each group of the plan must name one slice,
     which makes the grouping exact.  ``representatives`` lists the
     representatives afresh on each call, by default ``_representatives`` of
-    the plan.  A plan of at most _CACHED_REPS representatives keeps its
-    index arrays."""
+    the plan.  A plan of one chunk keeps its index arrays, for a caller that
+    evaluates one grouping at many abscissae; a larger one lists them chunk
+    by chunk on each call."""
 
     __slots__ = ("plan", "reps", "log_weight", "_where", "_tail", "_representatives", "_kept")
 
@@ -335,7 +321,7 @@ class _Gather:
         self._where = np.asarray(where, dtype=np.intp) * width
         self._tail = np.arange(-tail, 0)
         self._representatives = representatives or functools.partial(_representatives, plan.groups, plan.n)
-        self._kept = tuple(self._index()) if self.reps <= _CACHED_REPS else None
+        self._kept = tuple(self._index()) if self.reps <= _CHUNK else None
 
     def chunks(self):
         return self._index() if self._kept is None else self._kept
@@ -357,26 +343,30 @@ def _table_sum(rows: np.ndarray, shifts: np.ndarray, gather: _Gather, stats: Eva
     order.  Returns the operators' signs and logs, as two lists, with the
     plan's multiplicity in the logs.
 
-    A plan of one chunk sums each operator's terms exactly, scaled by the
-    largest (``math.fsum``), with no accumulator per operator; a larger plan
-    merges them chunk by chunk, in one ``SignedLogSum`` per operator.  For
-    one chunk both give the same bits."""
-    if gather.reps <= _CHUNK:
-        ((index, parity),) = gather.chunks()
+    Each chunk sums each operator's terms exactly, scaled by the largest
+    (``math.fsum``).  Each later chunk's sum merges into the operator's
+    running sum at the larger of the two scales, in one correctly rounded
+    addition; a chunk whose sum is 0 sets no scale."""
+    peaks = totals = None
+    for index, parity in gather.chunks():
         signs, logs = _chunk_dets(rows, shifts, index, parity, stats)
         peak = logs.max(axis=1)
         peak[peak == -_INF] = 0.0  # every term zero: any finite scale
-        totals = [math.fsum(terms) for terms in (signs * np.exp(logs - peak[:, None])).tolist()]
-        return [(total > 0.0) - (total < 0.0) for total in totals], [
-            top + math.log(abs(total)) + gather.log_weight if total else -_INF
-            for top, total in zip(peak.tolist(), totals)
-        ]
-    accs = [SignedLogSum() for _ in rows]
-    for index, parity in gather.chunks():
-        for acc, s, l in zip(accs, *_chunk_dets(rows, shifts, index, parity, stats)):
-            acc.add_terms(s, l)
-    totals = [acc.total() for acc in accs]
-    return [t.sign for t in totals], [t.logmag + gather.log_weight for t in totals]
+        sums = [math.fsum(terms) for terms in (signs * np.exp(logs - peak[:, None])).tolist()]
+        if totals is None:
+            peaks, totals = peak.tolist(), sums
+            continue
+        for o, (top, total) in enumerate(zip(peak.tolist(), sums)):
+            if not totals[o]:
+                peaks[o], totals[o] = top, total
+            elif total:
+                big = max(peaks[o], top)
+                totals[o] = totals[o] * math.exp(peaks[o] - big) + total * math.exp(top - big)
+                peaks[o] = big
+    return [(total > 0.0) - (total < 0.0) for total in totals], [
+        top + math.log(abs(total)) + gather.log_weight if total else -_INF
+        for top, total in zip(peaks, totals)
+    ]
 
 
 def _chunk_dets(rows, shifts, index, parity, stats) -> tuple[np.ndarray, np.ndarray]:
@@ -396,34 +386,20 @@ def _chunk_dets(rows, shifts, index, parity, stats) -> tuple[np.ndarray, np.ndar
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _grouped_sum(
-    signs: np.ndarray,
-    logs: np.ndarray,
-    where: np.ndarray,
-    plan: GroupedPermutationPlan,
-    stats: EvalStats | None = None,
-    representatives=None,
-) -> tuple:
-    """Grouped evaluation of a stack of operators given by their distinct
-    slices, with no constant block: ``signs`` and ``logs`` hold S checked
-    slices for each of ``count`` operators, (count, S, n, n), and position k
-    takes slice ``where[k]``.  Every slice row is scaled once per call.
-    Returns the signs and logs of the operators' values, as ``_table_sum``."""
-    gather = _Gather(plan, where, signs.shape[-1], 0, representatives)
-    scaled, shift, _ = _scale_rows(signs, logs)
-    count, _, n = shift.shape
-    return _table_sum(scaled.reshape(count, -1, n), shift.reshape(count, -1), gather, stats)
-
-
 def _tensor_sum(tensor: Tensor3, positions, where, plan: GroupedPermutationPlan, stats, representatives=None):
-    """``_grouped_sum`` over the slices of a tensor (or stack) at the given
-    positions: one value for a tensor, the signs and logs for a stack."""
+    """The grouped permutation sum over the slices of a tensor (or stack) at
+    the given positions, position k taking slice ``where[k]``, with no
+    constant block; every slice row is scaled once per call.  One value for
+    a tensor, the signs and logs for a stack."""
     n = tensor.n
+    gather = _Gather(plan, where, n, 0, representatives)
     slices = (
         np.ascontiguousarray(np.moveaxis(a.reshape(-1, n, n, n)[..., positions], -1, 1))
         for a in (tensor.signs, tensor.logs)
     )
-    signs, logs = _grouped_sum(*slices, where, plan, stats, representatives)
+    scaled, shift, _ = _scale_rows(*slices)
+    count = len(shift)
+    signs, logs = _table_sum(scaled.reshape(count, -1, n), shift.reshape(count, -1), gather, stats)
     return (signs, logs) if tensor.signs.ndim == 4 else SignedLog.from_log(logs[0], signs[0])
 
 

@@ -129,11 +129,13 @@ _ONE = SignedLog(1, 0.0)
 
 
 class SignedLogSum:
-    """Streaming compensated sum of signed-log terms.
+    """Streaming compensated sum of signed-log terms, the accumulator of
+    ``signed_logsumexp``.
 
     Terms are rescaled by the running maximum log magnitude and accumulated
-    with Kahan compensation, so adding permutation terms in any fixed chunk
-    order gives bit-stable totals regardless of how the work was split.
+    with Kahan compensation, so terms added in a fixed order give a
+    bit-stable total.  The permutation sum does not use it: it sums each
+    chunk of determinants exactly (``pseudodet._table_sum``).
     """
 
     __slots__ = ("_max", "_sum", "_comp")

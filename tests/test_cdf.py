@@ -392,6 +392,8 @@ def test_ties_are_exact_zeros(model):
     assert batch[1] == 0.0 and batch[0] != 0.0
     assert kernel.ordered_density(tied) == 0.0
     assert joint_pdf_unordered(model, 2, (x, x)) == 0.0
+    # the unordered density sorts its points: symmetric bit for bit
+    assert joint_pdf_unordered(model, 2, (xs[2], xs[0])) == joint_pdf_unordered(model, 2, (xs[0], xs[2])) != 0.0
 
 
 # -- slice reuse ----------------------------------------------------------------------------

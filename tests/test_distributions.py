@@ -17,6 +17,7 @@ from scipy.integrate import dblquad, quad, tplquad
 from scipy.special import gammainc
 
 import eigendist.distributions as dist
+import eigendist.pseudodet as pseudodet
 from eigendist.distributions import (
     CurveGrid,
     cdf_curve,
@@ -51,10 +52,12 @@ from eigendist.pseudodet import (
     EvalStats,
     GroupedPermutationPlan,
     Tensor3,
-    _grouped_sum,
+    _Gather,
+    _scale_rows,
+    _table_sum,
     pseudo_det_grouped,
 )
-from eigendist.signedlog import SignedLog, SignedLogSum
+from eigendist.signedlog import SignedLog
 
 M22 = UncorrelatedWishart(2, 2)
 
@@ -436,18 +439,18 @@ def test_full_joint_with_constant_columns_permutes_only_the_random_positions():
 
 
 def test_plan_of_ten_chunks_merges_them_chunk_by_chunk(monkeypatch):
-    # the full joint of W8x10 has 8! = 40320 representatives, ten chunks
-    # merged in one SignedLogSum
+    # the full joint of W8x10 has 8! = 40320 representatives: ten chunks,
+    # each summed on its own and merged in order
     model = UncorrelatedWishart(8, 10)
     xs = (30.0, 21.0, 15.0, 10.5, 7.0, 4.2, 2.0, 0.6)
     merged = []
-    add_terms = SignedLogSum.add_terms
+    chunk_dets = pseudodet._chunk_dets
 
-    def spy(acc, signs, logs):
-        merged.append(len(signs))
-        return add_terms(acc, signs, logs)
+    def spy(rows, shifts, index, parity, stats):
+        merged.append(len(index))
+        return chunk_dets(rows, shifts, index, parity, stats)
 
-    monkeypatch.setattr(SignedLogSum, "add_terms", spy)
+    monkeypatch.setattr(pseudodet, "_chunk_dets", spy)
     stats = EvalStats()
     got = joint_pdf_ordered(model, range(1, 9), xs, stats=stats)
     assert stats.determinants == math.factorial(8)
@@ -614,11 +617,13 @@ def test_plan_group_spanning_two_slices_rejected():
     signs = np.sign(rng.standard_normal((1, 2, 3, 3)))
     logs = rng.standard_normal((1, 2, 3, 3))
     plan = GroupedPermutationPlan(3, ((0, 1), (2,)))
-    (sign,), (log,) = _grouped_sum(signs, logs, np.array([0, 0, 1]), plan)
+    gather = _Gather(plan, np.array([0, 0, 1]), 3, 0)
+    rows, shifts, _ = _scale_rows(signs, logs)
+    (sign,), (log,) = _table_sum(rows.reshape(1, 6, 3), shifts.reshape(1, 6), gather)
     dense = Tensor3(signs[0, [0, 0, 1]].transpose(1, 2, 0), logs[0, [0, 0, 1]].transpose(1, 2, 0))
     assert SignedLog.from_log(log, sign) == pseudo_det_grouped(dense, plan)
     with pytest.raises(InvalidPlanError, match=r"group \(0, 1\)"):
-        _grouped_sum(signs, logs, np.array([0, 1, 1]), plan)
+        _Gather(plan, np.array([0, 1, 1]), 3, 0)
 
 
 # -- capability limits ---------------------------------------------------------------

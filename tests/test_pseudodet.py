@@ -13,6 +13,7 @@ from eigendist.pseudodet import (
     GroupedPermutationPlan,
     Tensor3,
     det_signed_log,
+    _Gather,
     pseudo_det,
     pseudo_det_grouped,
 )
@@ -220,13 +221,16 @@ def test_grouped_equals_naive_on_many_random_tensors(n):
 
 def test_small_plan_enumerates_once():
     plan = GroupedPermutationPlan.from_segment_sizes(5, (2, 2))
-    chunks = plan.chunks()
-    assert chunks is plan.chunks()
-    rows = np.concatenate([batch for batch, _parity in chunks])
+    where = np.array([0, 0, 1, 1, 2])
+    gather = _Gather(plan, where, 5, 0)
+    chunks = gather.chunks()
+    assert chunks is gather.chunks()
+    # position k of a representative mu takes table row 5 * where[k] + mu_k
+    rows = np.concatenate([index - 5 * where for index, _parity in chunks])
     assert len(rows) == plan.representative_count == 30
     assert len({tuple(r) for r in rows}) == 30
-    for batch, parity in chunks:
-        assert list(parity) == [perm_sign(tuple(r)) for r in batch]
+    for index, parity in chunks:
+        assert list(parity) == [perm_sign(tuple(r)) for r in index - 5 * where]
     rng = np.random.default_rng(11)
     tensor = Tensor3(np.ones((5, 5, 5)), rng.standard_normal((5, 5, 5)))
     tensor.signs[...] = tensor.signs[:, :, [0, 0, 2, 2, 4]]
@@ -235,6 +239,17 @@ def test_small_plan_enumerates_once():
     again = pseudo_det_grouped(tensor, plan)
     fresh = pseudo_det_grouped(tensor, GroupedPermutationPlan.from_segment_sizes(5, (2, 2)))
     assert first == again == fresh
+
+
+def test_plan_of_one_chunk_over_1024_representatives_is_kept():
+    # m = 7 with one pair group: 2520 representatives, one chunk
+    plan = GroupedPermutationPlan.from_segment_sizes(7, (2,))
+    gather = _Gather(plan, np.array([0, 0, 1, 2, 3, 4, 5]), 7, 0)
+    chunks = gather.chunks()
+    assert chunks is gather.chunks()
+    assert [len(index) for index, _parity in chunks] == [plan.representative_count] == [2520]
+    t = tensor_from_values(grouped_random_tensor(np.random.default_rng(17), 7, [2]))
+    assert pseudo_det_grouped(t, plan).to_float() == pytest.approx(pseudo_det(t).to_float(), rel=1e-10)
 
 
 def test_plan_mismatch_detected():

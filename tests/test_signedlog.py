@@ -1,10 +1,11 @@
 """Arithmetic checks for the sign-tracked log-scale scalar."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eigendist.signedlog import SignedLog, SignedLogSum, signed_logsumexp
 
@@ -31,10 +32,21 @@ def test_mul_matches_float(a, b):
     assert got == pytest.approx(a * b, rel=1e-12, abs=1e-300)
 
 
+def _stored_error(v):
+    # SignedLog.of(v) keeps ln|v| to within an ulp, so exp of it is off by up
+    # to eps |v| |ln|v||, and each exp, log and the sum r in __add__ add a
+    # rounding of at most eps times the magnitude it scales.  The exponent
+    # lo.logmag - hi.logmag is off by eps (|ln|lo|| + |ln|hi||), times |lo|
+    # in the sum; |lo| |ln|hi|| <= |lo| |ln|lo|| + |hi| |ln|hi|| since
+    # |lo| <= |hi|.  A cancelling sum keeps these absolute errors.
+    return sys.float_info.epsilon * abs(v) * (abs(math.log(abs(v))) + 2.0) if v else 0.0
+
+
 @given(finite_vals, finite_vals)
+@example(a=853559.538754927, b=-853055.0)
 def test_add_matches_float(a, b):
     got = (SignedLog.of(a) + SignedLog.of(b)).to_float()
-    assert got == pytest.approx(a + b, rel=1e-12, abs=1e-9)
+    assert got == pytest.approx(a + b, rel=1e-12, abs=_stored_error(a) + _stored_error(b))
 
 
 @given(finite_vals)
