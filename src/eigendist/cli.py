@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,6 +58,8 @@ def _parse_grid(raw: str) -> np.ndarray:
         raise ValueError(f"grid needs at least 2 points, got {count}")
     if not lo < hi:
         raise ValueError(f"grid bounds must satisfy lo < hi, got {raw!r}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"grid bounds must be finite with a finite span, got {raw!r}")
     return np.linspace(lo, hi, count)
 
 

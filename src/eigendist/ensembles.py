@@ -40,13 +40,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import betainc, betaincc, betaln, gammaln
 
-from .errors import ConditioningWarning, InvalidModelError
+from .errors import ConditioningWarning, InvalidModelError, NumericError
 from .pseudodet import _batch_det, _det_from_arrays
 from .quadrature import integrate
 from .signedlog import SignedLog
-from .specfun import hyp0f1, incomplete_gamma_table, log_factorial
+from .specfun import hyp0f1, incomplete_gamma_table, log_factorial, log_gamma_range
 
 __all__ = [
     "UncorrelatedWishart",
@@ -406,6 +405,8 @@ def _beta_segments(p: np.ndarray, q: float, a: np.ndarray, b: np.ndarray) -> tup
     of each (a, b) inside [0, 1]: the lower regularized incomplete beta
     functions' difference where b is below the mean ``p / (p + q)``, the
     upper ones' elsewhere, as in ``_gamma_diff``."""
+    from scipy.special import betainc, betaincc, betaln
+
     a, b = _rows(np.clip(a, 0.0, 1.0), p.ndim), _rows(np.clip(b, 0.0, 1.0), p.ndim)
     with np.errstate(divide="ignore"):
         lower_a, lower_b = np.log(betainc(p, q, a)), np.log(betainc(p, q, b))
@@ -804,10 +805,13 @@ class _CorrelatedKernel(_GammaKernel):
     @functools.cached_property
     def const_rows(self) -> tuple[np.ndarray, np.ndarray]:
         # column k, row j: the falling factorial (n-k)! / (n-k-d(j))! times
-        # rate_j^(n-k-d(j)); gammaln is +inf at the poles d(j) > n-k, where
-        # the entry is 0
+        # rate_j^(n-k-d(j)); log gamma is +inf at the poles d(j) > n-k,
+        # where the entry is 0
         a = (self.n - np.arange(self.m + 1, self.n + 1))[:, None]
-        return _signed(1.0, gammaln(a + 1.0) - gammaln(a - self._d + 1.0) + (a - self._d) * np.log(self._rate))
+        k = a - self._d
+        low = min(0, int(k.min(initial=0)))
+        log_fact = log_gamma_range(1.0, low, self.n - self.m)
+        return _signed(1.0, log_fact[a - low] - log_fact[k - low] + k * np.log(self._rate))
 
     def _entry(self, i: int, j: int) -> tuple:
         # phi_i = x^(i-1) on the random rows, bare xi on the rows past m
@@ -836,7 +840,14 @@ class _NoncentralKernel(_GammaKernel):
         self._log_norm = log_factorial(model.n - model.dim)
         # the normalizer is not available in closed form; fix it so the
         # full-support hypercube mass is exactly one
-        self.log_k = SignedLog.one() / _det_from_arrays(*self.slice((0.0, _INF, IDENTITY_TILT)))
+        full = _det_from_arrays(*self.slice((0.0, _INF, IDENTITY_TILT)))
+        if full.sign == 0:
+            raise NumericError(
+                f"{model}: the full-support determinant underflows to 0; its rows are scaled by their "
+                f"largest entry, the e^mu-sized series column (mu = {model.mu[0]:g}), which leaves the "
+                "plain columns at 0"
+            )
+        self.log_k = SignedLog.one() / full
 
     def rows(self, xs: np.ndarray) -> tuple:
         # Phi_i = x^(m-i); Psi_j = 0F1(b0; mu_j x) / (n-m)! for j <= rank, x^(m-j) past it
@@ -880,7 +891,8 @@ class _NoncentralKernel(_GammaKernel):
         terms = 32
         while terms <= 4096:
             k = np.arange(terms)
-            log_coef = k * log_mu - (gammaln(self._b0 + k) - gammaln(self._b0)) - gammaln(k + 1.0)
+            log_b0 = log_gamma_range(1.0, self.model.n - self.m, self.model.n - self.m + terms)
+            log_coef = k * log_mu - (log_b0 - log_b0[0]) - log_gamma_range(1.0, 0, terms)
             p = q[:, None] + k
             _, log_int = _gamma_segments(1.0, p, np.maximum(a[todo], 0.0) * rate, b[todo] * rate)
             t = log_coef + (log_int - (p + 1.0) * math.log(rate))[:, None]

@@ -8,6 +8,13 @@ and continued fraction at the usual cancellation-avoidance boundary
 functions for every shape of one integer or half-integer family at once, as
 numpy arrays, for one limit or a vector of them, which is what the kernel
 slices are filled from.
+
+The log gamma values on those two shape grids come from one kept table per
+family, ``log_gamma_range``, filled on demand by Cephes ``lgam`` (Moshier,
+*Methods and Programs for Mathematical Functions*, 1989), so they equal
+``scipy.special.gammaln`` bit for bit.  Only the half-integer family's seed
+``erfcx`` comes from ``scipy.special``, imported where it is used, so the
+Wishart-type kernels run without loading it.
 """
 
 from __future__ import annotations
@@ -15,12 +22,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx, gammaln
 
 from .signedlog import SignedLog, signed_logsumexp
 
 __all__ = [
     "log_gamma",
+    "log_gamma_range",
     "gamma_whole",
     "upper_incomplete_gamma",
     "lower_incomplete_gamma",
@@ -43,6 +50,94 @@ def log_factorial(n: int) -> float:
     if n < 0:
         raise ValueError(f"factorial of negative integer {n}")
     return math.lgamma(n + 1)
+
+
+# Cephes lgam: Stirling's series from 13 up (A), a rational function on
+# [2, 3] below (B over C), and log sqrt(2 pi)
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LS2PI = 0.91893853320467274178
+
+
+def _lgam(x: float) -> float:
+    """``log Gamma(x)`` for ``x > 0`` by Cephes ``lgam``, operation for
+    operation, so it rounds as ``scipy.special.gammaln`` does."""
+    if x < 13.0:
+        # shift into [2, 3), keeping the product of the steps in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        num, den = _LGAM_B[0], x + _LGAM_C[0]
+        for b, c in zip(_LGAM_B[1:], _LGAM_C[1:]):
+            num, den = num * x + b, den * x + c
+        return math.log(z) + x * num / den
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / x
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    return q + series / x
+
+
+# shape family s0 -> log Gamma(s0 + k) for k = 0, 1, ..., read-only; a
+# table only ever grows by values that do not depend on the caller, so two
+# callers growing it at once repeat work and lose nothing
+_LOG_GAMMA = {0.5: np.empty(0), 1.0: np.empty(0)}
+
+
+def log_gamma_range(s0: float, start: int, stop: int) -> np.ndarray:
+    """``log Gamma(s0 + k)`` for ``k = start, ..., stop - 1``, where ``s0`` is
+    1 (integer shapes) or 1/2 (half-integer), read from the family's kept
+    table, which grows by doubling.  The values equal
+    ``scipy.special.gammaln``'s bit for bit.  A range that starts at
+    ``k >= 0`` is a read-only view of the table; the integer family reads
+    +inf at its poles ``s0 + k <= 0``."""
+    table = _LOG_GAMMA.get(s0)
+    if table is None:
+        raise ValueError(f"shape family must start at 1/2 or 1, got {s0}")
+    if len(table) < stop:
+        grown = np.concatenate((table, [_lgam(s0 + k) for k in range(len(table), max(stop, 2 * len(table), 64))]))
+        grown.flags.writeable = False
+        table = _LOG_GAMMA[s0] = grown
+    if start >= 0:
+        return table[start:stop]
+    if s0 != 1.0:
+        raise ValueError(f"log gamma of the half-integer family needs k >= 0, got {start}")
+    return np.concatenate((np.full(min(stop, 0) - start, math.inf), table[: max(stop, 0)]))
 
 
 def gamma_whole(s: float) -> SignedLog:
@@ -74,6 +169,8 @@ def _upper_integer(s: int, x: float) -> SignedLog:
 def _upper_half_integer(s: float, x: float) -> SignedLog:
     # seed Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)), scaled form avoids underflow,
     # then climb with Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x}
+    from scipy.special import erfcx
+
     if x == 0.0:
         return gamma_whole(s)
     r = math.sqrt(x)
@@ -155,7 +252,9 @@ def incomplete_gamma_table(s0: float, count: int, y) -> tuple[np.ndarray, np.nda
     ``y`` is one limit, giving two arrays of ``count`` values, or a vector of
     limits, giving one row per limit.
 
-    Both come from the positive series terms ``y^(s0+k) e^(-y) / Gamma(s0+k+1)``.
+    Both come from the positive series terms ``y^(s0+k) e^(-y) / Gamma(s0+k+1)``,
+    whose log gammas, like the complete ``Gamma(s)``, are slices of the
+    family's kept table (``log_gamma_range``).
     The regularized upper function of shape ``s0+n`` is its seed ``Q(s0, y)``
     (``e^(-y)``, or ``erfc(sqrt(y))`` through ``erfcx``) plus the first n
     terms, a forward cumulative sum.  The regularized lower function is the
@@ -177,7 +276,7 @@ def incomplete_gamma_table(s0: float, count: int, y) -> tuple[np.ndarray, np.nda
     if not all(v >= 0.0 for v in limits):
         raise ValueError(f"gamma limit must be nonnegative, got {y}")
     shapes = s0 + np.arange(count)
-    whole = gammaln(shapes)
+    whole = log_gamma_range(s0, 0, count)
     inner = [v for v in limits if 0.0 < v < math.inf]
     if inner:
         # past the largest shape the terms fall at least like exp(-j^2 / 2y)
@@ -186,12 +285,14 @@ def incomplete_gamma_table(s0: float, count: int, y) -> tuple[np.ndarray, np.nda
         width = count - 1 + max(extra)
         k = s0 + np.arange(width)
         y = np.array(inner)[:, None]
-        terms = k * np.array([[math.log(v)] for v in inner]) - y - gammaln(k + 1.0)
+        terms = k * np.array([[math.log(v)] for v in inner]) - y - log_gamma_range(s0, 1, width + 1)
         if min(extra) != max(extra):
             terms[np.arange(width) >= count - 1 + np.array(extra)[:, None]] = -math.inf
         if s0 == 1.0:
             seed = -y
         else:
+            from scipy.special import erfcx
+
             seed = np.array([[math.log(erfcx(math.sqrt(v))) - v] for v in inner])
         log_q = np.logaddexp.accumulate(np.concatenate((seed, terms[:, : count - 1]), axis=1), axis=1)
         below = shapes > y

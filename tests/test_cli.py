@@ -184,6 +184,31 @@ def test_exit_codes():
     ) == 2  # a negative flag value reaches the model's check
 
 
+@pytest.mark.parametrize("grid", ["0:inf:10", "-inf:0:3", "-1e308:1e308:3"])
+def test_grid_bounds_must_be_finite(capsys, grid):
+    # an infinite bound, or a span that overflows, would reach linspace as
+    # inf - inf and come back as NaN points
+    code, out, err = run(
+        capsys,
+        "cdf",
+        "--ensemble", "uncorrelated-wishart", "--M", "4", "--n", "6",
+        "--index", "1", "--grid", grid,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: grid bounds must be finite with a finite span, got {grid!r}\n"
+
+
+def test_series_past_the_row_scaling_is_a_numeric_error(capsys):
+    code, out, err = run(
+        capsys,
+        "prob-interval",
+        "--ensemble", "noncentral-wishart", "--M", "3", "--n", "4", "--mu", "1000,0.5",
+        "--a", "0", "--b", "5",
+    )
+    assert code == 4 and out == ""
+    assert err.startswith("error: NoncentralWishart(dim=3, n=4, mu=(1000.0, 0.5)): the full-support determinant")
+
+
 def test_grid_endpoints_inclusive(capsys):
     code, out, _ = run(
         capsys,

@@ -29,7 +29,7 @@ from eigendist.distributions import (
     mgf_unordered,
     moments_unordered,
 )
-from eigendist.errors import ConditioningWarning, InvalidModelError
+from eigendist.errors import ConditioningWarning, InvalidModelError, NumericError
 from eigendist.signedlog import SignedLog
 
 
@@ -216,6 +216,15 @@ def test_noncentral_series_columns_match_quadrature(model):
                     got = signs[i - 1, j - 1] * math.exp(logs[i - 1, j - 1])
                     assert got == pytest.approx(want, rel=1e-10), (tilt, a, b, i, j)
     assert normalization_check(model) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_noncentral_series_past_the_row_scaling_raises():
+    # rows are scaled by their largest entry, the e^mu-sized series column,
+    # so at mu = 1000 the plain columns underflow and the full-support
+    # determinant that fixes the normalizer reads 0
+    with pytest.raises(NumericError, match=r"NoncentralWishart\(dim=3, n=4, mu=\(1000.0, 0.5\)\): the full-support"):
+        kernel_form(NoncentralWishart(3, 4, (1000.0, 0.5)))
+    assert normalization_check(NoncentralWishart(3, 4, (700.0, 0.5))) == pytest.approx(1.0, abs=1e-12)
 
 
 def _slice_entry(kernel, key, i, j):

@@ -11,6 +11,7 @@ from eigendist.specfun import (
     gamma_whole,
     hyp0f1,
     incomplete_gamma_table,
+    log_gamma_range,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
@@ -103,6 +104,23 @@ def test_gamma_table_vs_scipy(s0, y):
         ok = frac > 0.0  # the references underflow where the tables do not
         want = gammaln(shapes[ok]) + np.log(frac[ok])
         np.testing.assert_allclose(got[ok], want, rtol=1e-13, atol=1e-13)
+
+
+def test_kept_log_gamma_tables_are_gammaln_bit_for_bit():
+    # 8192 covers the noncentral series (up to 4096 terms past its first
+    # shape) and the widest incomplete-gamma table the kernels build
+    n = 8192
+    assert log_gamma_range(1.0, 0, n).tobytes() == gammaln(np.arange(1.0, n + 1.0)).tobytes()
+    assert log_gamma_range(0.5, 0, n).tobytes() == gammaln(np.arange(0.5, n)).tobytes()
+    # the integer family reads +inf at the poles 0, -1 and -2
+    assert log_gamma_range(1.0, -3, 2).tobytes() == gammaln([-2.0, -1.0, 0.0, 1.0, 2.0]).tobytes()
+    assert np.all(log_gamma_range(1.0, -3, 0) == math.inf)
+    with pytest.raises(ValueError, match="read-only"):
+        log_gamma_range(1.0, 0, 4)[0] = 1.0
+    with pytest.raises(ValueError):
+        log_gamma_range(0.5, -1, 2)
+    with pytest.raises(ValueError):
+        log_gamma_range(2.0, 0, 2)
 
 
 @pytest.mark.parametrize("s0", [0.5, 1.0])
