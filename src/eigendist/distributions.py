@@ -39,9 +39,10 @@ x)`` sums its first ell coefficients (``_count_distribution``, which runs
 its circles for a batch of abscissae in lockstep).  Single-eigenvalue
 expectations integrate the tensor engine's density with a round-based
 adaptive Gauss-Kronrod rule on panels cut at levels of the closed-form
-distribution function, each round one batched density call, so the total
-mass of a marginal stays a check of K that does not go through the
-counting polynomial.
+distribution function, inside a bulk bracket placed from the count's two
+end coefficients alone, one determinant each.  Each round is one batched
+density call, so the total mass of a marginal stays a check of K that
+does not go through the counting polynomial.
 """
 
 from __future__ import annotations
@@ -541,6 +542,41 @@ def _distinct_radii(log_radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return ordered[new], np.nonzero(new)[0], which
 
 
+def _end_determinants(kernel: KernelForm, segments: Sequence, count: int) -> tuple:
+    """The blocks and determinants behind the end coefficients of the
+    counting polynomial, at ``count`` abscissae.
+
+    Each segment ``(a, b)`` names the untilted slice over it, either end a
+    vector of ``count`` abscissae or a number; its block S is the first m
+    rows of that slice, and its determinant is ``det[S; C]`` with the
+    constant rows C below.  Returns the blocks, one pair of sign and log
+    stacks per segment, and the determinants' signs and logs, one row per
+    abscissa and one column per segment, from one batched call.  With B and
+    A the blocks below and above x, ``K det[B; C]`` and ``K det[A; C]`` are
+    ``P(all <= x)`` and ``P(all > x)``; over the whole support, ``K det[S;
+    C]`` is the total mass N."""
+    m, n = kernel.m, kernel.n
+    const = kernel.const_rows
+    blocks = [
+        (s[:, :m], l[:, :m])
+        for (s, l), _ in _slices(kernel, [(a, b, IDENTITY_TILT) for a, b in segments], count)
+    ]
+    dets = [
+        np.stack([np.concatenate([block[k], np.broadcast_to(const[k], (count,) + const[k].shape)], axis=1)
+                  for block in blocks], axis=1).reshape(len(blocks) * count, n, n)
+        for k in (0, 1)
+    ]
+    signs, logs = _batch_det(*dets)
+    return blocks, signs.reshape(count, -1), logs.reshape(count, -1)
+
+
+def _times_k(kernel: KernelForm, signs: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Signed-log determinants times the normalizer K, as floats; a value
+    below the smallest double reads 0."""
+    with np.errstate(under="ignore"):
+        return kernel.log_k.sign * signs * np.exp(logs + kernel.log_k.logmag)
+
+
 def _count_distribution(kernel: KernelForm, x) -> np.ndarray:
     """``P(#{eigenvalues > x} = j)`` for j = 0..m, x inside the support; one
     row per abscissa for a vector of them.
@@ -550,16 +586,17 @@ def _count_distribution(kernel: KernelForm, x) -> np.ndarray:
     rows) and C the constant rows, ``K * det[B + t*A; C]`` is the generating
     function of the count.  Its end coefficients are determinants:
     ``c_0 = K det[B; C]`` and ``c_m = K det[A; C]``, the interval
-    probabilities.  Each inner coefficient c_j is read from the Cauchy
-    integral on its own circle, of radius ``sqrt(c_(j-1) / c_(j+1))``, where
-    term j carries at least 1/(m+1) of the peak of a log-concave count
-    distribution, so it keeps its relative accuracy however small it is
-    (Bornemann, Found. Comput. Math. 11, 2011).  The first pass runs on the
-    unit circle; later passes take the radii from the readings so far, with
-    a reading trusted once its term carries 1e-6 of its circle's peak and
-    the others interpolated in log scale, and stop once every term carries
-    1/(2(m+1)) of its circle's peak, or after m+2 passes.  A coefficient
-    never read above the rounding floor of a circle is zero.
+    probabilities (``_end_determinants``).  Each inner coefficient c_j is
+    read from the Cauchy integral on its own circle, of radius
+    ``sqrt(c_(j-1) / c_(j+1))``, where term j carries at least 1/(m+1) of
+    the peak of a log-concave count distribution, so it keeps its relative
+    accuracy however small it is (Bornemann, Found. Comput. Math. 11,
+    2011).  The first pass runs on the unit circle; later passes take the
+    radii from the readings so far, with a reading trusted once its term
+    carries 1e-6 of its circle's peak and the others interpolated in log
+    scale, and stop once every term carries 1/(2(m+1)) of its circle's
+    peak, or after m+2 passes.  A coefficient never read above the rounding
+    floor of a circle is zero.
 
     All abscissae run their passes in lockstep, the circles of a pass in one
     batched call, and each stops on its own test, so every row is the one
@@ -568,7 +605,7 @@ def _count_distribution(kernel: KernelForm, x) -> np.ndarray:
     """
     xs = np.asarray(x, dtype=float)
     lo, hi = kernel.support
-    m, n = kernel.m, kernel.n
+    m = kernel.m
     count = xs.size
     flat = xs.reshape(-1)
     step = max(1, _CHUNK // (m * m))
@@ -577,19 +614,10 @@ def _count_distribution(kernel: KernelForm, x) -> np.ndarray:
             [_count_distribution(kernel, flat[i : i + step]) for i in range(0, count, step)]
         )
     const = kernel.const_rows
-    below, above = (
-        (s[:, :m], l[:, :m])
-        for (s, l), _ in _slices(kernel, [(lo, flat, IDENTITY_TILT), (flat, hi, IDENTITY_TILT)], count)
-    )
-    ends = [
-        np.stack([np.concatenate([block[k], np.broadcast_to(const[k], (count,) + const[k].shape)], axis=1)
-                  for block in (below, above)], axis=1).reshape(2 * count, n, n)
-        for k in (0, 1)
-    ]
-    end_signs, end_logs = _batch_det(*ends)
+    (below, above), end_signs, end_logs = _end_determinants(kernel, [(lo, flat), (flat, hi)], count)
 
     signs, logs, share = np.zeros((count, m + 1)), np.full((count, m + 1), -_INF), np.zeros((count, m + 1))
-    signs[:, [0, m]], logs[:, [0, m]] = end_signs.reshape(count, 2), end_logs.reshape(count, 2)
+    signs[:, [0, m]], logs[:, [0, m]] = end_signs, end_logs
     share[:, [0, m]] = 1.0
     inner = np.arange(1, m)
     log_radii = np.zeros((count, m - 1))
@@ -623,9 +651,7 @@ def _count_distribution(kernel: KernelForm, x) -> np.ndarray:
                 live[rows[r]] = False
                 guess[r] = 0.0
         log_radii[rows] = (guess[:, :-2] - guess[:, 2:]) / 2.0
-    with np.errstate(under="ignore"):
-        counts = kernel.log_k.sign * signs * np.exp(logs + kernel.log_k.logmag)
-    return counts.reshape(xs.shape + (m + 1,))
+    return _times_k(kernel, signs, logs).reshape(xs.shape + (m + 1,))
 
 
 def _rank_cdfs(kernel: KernelForm, xs: np.ndarray) -> np.ndarray:
@@ -699,8 +725,18 @@ def _bulk_bracket(kernel: KernelForm) -> tuple:
     P(lambda_1 > b) are both at most the outer cut level.  Steps out from
     the middle of the support, doubling the distance to an infinite edge and
     quartering the distance to a finite one, and takes each side's first
-    passing step; the steps of both sides are evaluated _LADDER_BATCH at a
-    time in one count-distribution call."""
+    passing step; a step outside the support passes.
+
+    The two tails are the count distribution's ends, read as
+    ``N - c_m(a)`` and ``N - c_0(b)``, where ``c_0(x) = P(all <= x)`` and
+    ``c_m(x) = P(all > x)`` are one determinant each and N is the total mass
+    ``K det[S; C]`` of the full-support slice (``_end_determinants``).  In
+    exact arithmetic these are the sums ``_rank_cdfs`` forms for ranks m
+    and 1 from the whole count distribution, so the bracket needs no
+    circle.  They are tested against N, not 1: a kernel whose mass reads
+    1 - 4.2e-6 (Beta(8, 3, 3)) would never pass against 1.  The steps of
+    both sides are evaluated _LADDER_BATCH at a time in one batched call,
+    so no step past a side's passing batch is evaluated."""
     lo, hi = kernel.support
     tail = _CUT_LEVELS[0]
     if math.isfinite(hi):
@@ -717,14 +753,23 @@ def _bulk_bracket(kernel: KernelForm) -> tuple:
                 x, width = x + sign * width, 2.0 * width
             steps.append(x)
         ladders.append(steps)
+    _, signs, logs = _end_determinants(kernel, [(lo, hi)], 1)
+    mass = _times_k(kernel, signs, logs)[0, 0]
     edges = [None, None]
     for first in range(0, _LADDER_STEPS, _LADDER_BATCH):
         sides = [side for side in (0, 1) if edges[side] is None]
         if not sides:
             return tuple(edges)
         xs = np.array([x for side in sides for x in ladders[side][first : first + _LADDER_BATCH]])
-        for side, f in zip(sides, _rank_cdfs(kernel, xs).reshape(len(sides), -1, kernel.m)):
-            passed = f[:, -1] <= tail if side == 0 else f[:, 0] >= 1.0 - tail
+        # column 0 reads P(lambda_1 > x), column 1 P(lambda_m <= x)
+        tails = np.zeros((len(xs), 2))
+        inside = (xs > lo) & (xs < hi)
+        if inside.any():
+            within = xs[inside]
+            _, signs, logs = _end_determinants(kernel, [(lo, within), (within, hi)], len(within))
+            tails[inside] = mass - _times_k(kernel, signs, logs)
+        for side, t in zip(sides, tails.reshape(len(sides), -1, 2)):
+            passed = t[:, 1 - side] <= tail
             if passed.any():
                 edges[side] = ladders[side][first + int(np.argmax(passed))]
     if None not in edges:
@@ -738,8 +783,9 @@ def _marginal_cuts(kernel: KernelForm, ell: int) -> tuple:
     (below) and 0.7 (above) of the span between them, so that the unbounded
     end segment holds a negligible share of a moment's integrand; an end
     segment that starts inside the upper tail costs the adaptive rule more
-    subdivisions.  All ranks are placed from one grid of count
-    distributions, one batched call, kept on the kernel."""
+    subdivisions.  The grid spans the bulk bracket (``_bulk_bracket``, end
+    determinants only), and all ranks are placed from one batched call of
+    _CUT_GRID count distributions on it; the cuts are kept on the kernel."""
     cuts = kernel.memo.get("marginal_cuts")
     if cuts is None:
         a, b = _bulk_bracket(kernel)

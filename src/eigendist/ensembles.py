@@ -903,7 +903,7 @@ class _NoncentralKernel(_GammaKernel):
             if not len(todo):
                 return out
             terms *= 2
-        raise ArithmeticError(f"noncentral series stalled on ({a[todo[0]]}, {b[todo[0]]}) with {tilt}")
+        raise NumericError(f"noncentral series stalled on ({a[todo[0]]}, {b[todo[0]]}) with {tilt}")
 
 
 _KERNELS = {

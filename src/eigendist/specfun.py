@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from .errors import NumericError
 from .signedlog import SignedLog, signed_logsumexp
 
 __all__ = [
@@ -195,7 +196,7 @@ def _lower_series(s: float, x: float) -> SignedLog:
         total += term
         if abs(term) < abs(total) * _EPS:
             return SignedLog.from_log(s * math.log(x) - x + math.log(total))
-    raise ArithmeticError(f"lower incomplete gamma series stalled at s={s}, x={x}")
+    raise NumericError(f"lower incomplete gamma series stalled at s={s}, x={x}")
 
 
 def _upper_cf(s: float, x: float) -> SignedLog:
@@ -219,7 +220,7 @@ def _upper_cf(s: float, x: float) -> SignedLog:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return SignedLog.from_log(s * math.log(x) - x + math.log(h))
-    raise ArithmeticError(f"upper incomplete gamma fraction stalled at s={s}, x={x}")
+    raise NumericError(f"upper incomplete gamma fraction stalled at s={s}, x={x}")
 
 
 def upper_incomplete_gamma(s: float, x: float) -> SignedLog:
@@ -265,7 +266,9 @@ def incomplete_gamma_table(s0: float, count: int, y) -> tuple[np.ndarray, np.nda
     The rows share one array pass: a row needs fewer tail terms than the
     largest limit, and its surplus terms are ``-inf``, which the backward
     sum passes through exactly, so every row equals its value computed
-    alone.  Rows at the limits 0 and inf are set directly.
+    alone.  Each distinct limit is tabled once, and a repeated one reads
+    that row: a pass over the segments (a, x) and (x, b) meets every x
+    twice.  Rows at the limits 0 and inf are set directly.
     """
     if s0 not in (0.5, 1.0):
         raise ValueError(f"shape family must start at 1/2 or 1, got {s0}")
@@ -277,7 +280,7 @@ def incomplete_gamma_table(s0: float, count: int, y) -> tuple[np.ndarray, np.nda
         raise ValueError(f"gamma limit must be nonnegative, got {y}")
     shapes = s0 + np.arange(count)
     whole = log_gamma_range(s0, 0, count)
-    inner = [v for v in limits if 0.0 < v < math.inf]
+    inner = list(dict.fromkeys(v for v in limits if 0.0 < v < math.inf))
     if inner:
         # past the largest shape the terms fall at least like exp(-j^2 / 2y)
         top = s0 + count - 1
@@ -302,12 +305,14 @@ def incomplete_gamma_table(s0: float, count: int, y) -> tuple[np.ndarray, np.nda
             log_p = np.where(below, tails, log_p)
         upper, lower = whole + log_q, whole + log_p
     if len(inner) < len(limits):
-        # the rows at the limits 0 and inf follow the others
+        # the rows at the limits 0 and inf follow the others, and a repeated
+        # limit reads its one row
         none = np.full(count, -math.inf)
         upper = np.concatenate((upper, (whole, none))) if inner else np.array((whole, none))
         lower = np.concatenate((lower, (none, whole))) if inner else np.array((none, whole))
-        rows = iter(range(len(inner)))
-        at = [len(inner) if v == 0.0 else len(inner) + 1 if v == math.inf else next(rows) for v in limits]
+        row = {v: r for r, v in enumerate(inner)}
+        row[0.0], row[math.inf] = len(inner), len(inner) + 1
+        at = [row[v] for v in limits]
         upper, lower = upper[at], lower[at]
     if ys.ndim == 0:
         return upper[0], lower[0]
@@ -340,4 +345,4 @@ def hyp0f1(b: float, z: float) -> SignedLog:
             scale = math.exp(-shift)
             total *= scale
             term *= scale
-    raise ArithmeticError(f"0F1 series stalled at b={b}, z={z}")
+    raise NumericError(f"0F1 series stalled at b={b}, z={z}")

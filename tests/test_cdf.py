@@ -570,3 +570,48 @@ def test_marginal_expectations_match_scalar_quadrature(case):
         assert moment_single(model, ell, order) == pytest.approx(want, rel=1e-9, abs=0.0), order
     want = _quad_expectation(model, ell, lambda x: math.exp(-0.3 * x))
     assert mgf_single(model, ell, -0.3) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def _ladder_edge(kernel, side):
+    # the bracket's rule from the whole count distribution: step out toward
+    # one edge, one _rank_cdfs call per step, up to the first step whose
+    # tail P(lambda_m <= a) (side 0) or P(lambda_1 > b) (side 1) is at most
+    # the outer cut level; no step past it is evaluated
+    lo, hi = kernel.support
+    edge, tail = (lo, hi)[side], dist._CUT_LEVELS[0]
+    x = (lo + hi) / 2.0 if math.isfinite(hi) else lo + 1.0 if math.isfinite(lo) else 0.0
+    width = 1.0
+    for _ in range(dist._LADDER_STEPS):
+        if math.isfinite(edge):
+            x = edge + (x - edge) / 4.0
+        else:
+            x, width = x + (2 * side - 1) * width, 2.0 * width
+        f = _rank_cdfs(kernel, np.array([x]))[0]
+        if (f[-1] <= tail) if side == 0 else (f[0] >= 1.0 - tail):
+            return x
+    raise AssertionError(f"no passing step toward {edge}")
+
+
+# the oracle models, W8x10 among them, and a kernel whose total mass reads
+# 1 - 4.2e-6, which a tail held against 1 would never pass
+BRACKET_MODELS = list(dict.fromkeys(model for model, _ in ORACLE_CASES)) + [Beta(8, 3, 3)]
+
+
+@pytest.mark.parametrize("model", BRACKET_MODELS, ids=spec_string)
+def test_bulk_bracket_equals_the_count_distribution_rule(model, monkeypatch):
+    kernel = kernel_form(model)
+    circles = []
+    pencil = dist._pencil_circles
+    monkeypatch.setattr(dist, "_pencil_circles", lambda *args: circles.append(1) or pencil(*args))
+    bracket = dist._bulk_bracket(kernel)
+    # the bracket reads the two end determinants of each step, no circle
+    assert circles == []
+    assert bracket == (_ladder_edge(kernel, 0), _ladder_edge(kernel, 1))
+    assert circles, "the reference rule runs the circles"
+
+
+def test_stalled_series_is_a_numeric_error():
+    # the far quadrature nodes of the mapped infinite end reach 0F1 at
+    # z ~ 1.2e8, whose terms peak past the series' iteration cap
+    with pytest.raises(NumericError, match="0F1 series stalled"):
+        moment_single(NoncentralWishart(3, 4, (700.0, 0.5)), 1, 1)

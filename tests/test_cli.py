@@ -209,6 +209,17 @@ def test_series_past_the_row_scaling_is_a_numeric_error(capsys):
     assert err.startswith("error: NoncentralWishart(dim=3, n=4, mu=(1000.0, 0.5)): the full-support determinant")
 
 
+def test_stalled_series_is_a_numeric_error(capsys):
+    code, out, err = run(
+        capsys,
+        "moments",
+        "--ensemble", "noncentral-wishart", "--M", "3", "--n", "4", "--mu", "700,0.5",
+        "--index", "1", "--orders", "1",
+    )
+    assert code == 4 and out == ""
+    assert err.startswith("error: 0F1 series stalled at b=2.0, z=")
+
+
 def test_grid_endpoints_inclusive(capsys):
     code, out, _ = run(
         capsys,

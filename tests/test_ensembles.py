@@ -199,6 +199,22 @@ def test_slices_match_entry_rules(model):
                 assert got == pytest.approx(want.logmag, rel=rel, abs=rel), (key, i, j)
 
 
+@pytest.mark.parametrize("model", SLICE_MODELS, ids=lambda m: spec_string(m))
+def test_stacked_segments_below_and_above_equal_each_alone(model):
+    # one pass over (lo, x) and (x, hi) at every x tables each x once, as
+    # a density pass at quadrature nodes fills them; each slice is the one
+    # filled apart, bit for bit
+    kernel = kernel_form(model)
+    lo, hi = kernel.support
+    xs = np.array(_abscissae(kernel.support) * 2)
+    ends = (np.concatenate((np.full(len(xs), lo), xs)), np.concatenate((xs, np.full(len(xs), hi))))
+    signs, logs = kernel.slice((*ends, Tilt()))
+    for row, (a, b) in enumerate(zip(*ends)):
+        alone = kernel.slice((float(a), float(b), Tilt()))
+        assert signs[row].tobytes() == alone[0].tobytes(), (a, b)
+        assert logs[row].tobytes() == alone[1].tobytes(), (a, b)
+
+
 @pytest.mark.parametrize(
     "model",
     [NoncentralWishart(3, 4, (5.0, 0.5)), NoncentralWishart(2, 3, (2.0,))],
@@ -225,6 +241,14 @@ def test_noncentral_series_past_the_row_scaling_raises():
     with pytest.raises(NumericError, match=r"NoncentralWishart\(dim=3, n=4, mu=\(1000.0, 0.5\)\): the full-support"):
         kernel_form(NoncentralWishart(3, 4, (1000.0, 0.5)))
     assert normalization_check(NoncentralWishart(3, 4, (700.0, 0.5))) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_noncentral_segment_series_past_its_terms_raises():
+    # over (5e4, 6e4) the terms peak near k ~ sqrt(mu x) ~ 6000, past the
+    # series' 4096 terms
+    kernel = kernel_form(NoncentralWishart(3, 4, (700.0, 0.5)))
+    with pytest.raises(NumericError, match=r"noncentral series stalled on \(50000.0, 60000.0\)"):
+        kernel.slice((5e4, 6e4, Tilt()))
 
 
 def _slice_entry(kernel, key, i, j):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaincc, gammaln
 
+from eigendist.errors import NumericError
 from eigendist.specfun import (
     gamma_whole,
     hyp0f1,
@@ -140,6 +141,18 @@ def test_gamma_table_edges(s0):
     np.testing.assert_allclose(upper, want, rtol=1e-14)
 
 
+@pytest.mark.parametrize("s0", [0.5, 1.0])
+def test_gamma_table_repeated_limits_equal_each_alone(s0):
+    # a pass over the segments (0, x) and (x, inf) meets every x twice, and
+    # each limit is tabled once; its rows read the value it gets alone
+    limits = [3.0, 0.0, 3.0, math.inf, 0.4, 120.0, 0.4, 0.0, 3.0, math.inf, 1e-300]
+    upper, lower = incomplete_gamma_table(s0, 12, limits)
+    for row, y in enumerate(limits):
+        alone = incomplete_gamma_table(s0, 12, y)
+        assert upper[row].tobytes() == alone[0].tobytes(), y
+        assert lower[row].tobytes() == alone[1].tobytes(), y
+
+
 def test_gamma_table_rejects_bad_args():
     with pytest.raises(ValueError):
         incomplete_gamma_table(1.5, 3, 1.0)
@@ -149,6 +162,16 @@ def test_gamma_table_rejects_bad_args():
         incomplete_gamma_table(1.0, 3, -1.0)
     with pytest.raises(ValueError):
         incomplete_gamma_table(1.0, 3, math.nan)
+
+
+def test_stalled_series_are_numeric_errors():
+    # past the iteration cap; the CLI maps a NumericError to exit code 4
+    with pytest.raises(NumericError, match="0F1 series stalled"):
+        hyp0f1(2.0, 1.2e8)
+    with pytest.raises(NumericError, match="lower incomplete gamma series stalled"):
+        lower_incomplete_gamma(1e8 + 0.5, 1e8)
+    with pytest.raises(NumericError, match="upper incomplete gamma fraction stalled"):
+        upper_incomplete_gamma(1e12 + 0.25, 1e12 + 2.0)
 
 
 # -- stated identity grids ---------------------------------------------------
