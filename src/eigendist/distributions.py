@@ -17,12 +17,12 @@ their own in the plan.  Tied abscissae never reach the operator: two equal
 eigenvalues make the Vandermonde factor vanish, so every density at a tie
 is exactly 0.
 
-The callers differ only in their keys.  Fixing L of the M ordered
-eigenvalues gives point keys at the fixed ranks and, for each free rank,
-the segment between the adjacent fixed values (``_ordered_densities``).
-Unordered densities use point keys followed by full-support segments, and
-unordered product expectations use one tilted full-support segment per
-eigenvalue.
+The callers differ only in their keys and a constant (``_values``).
+Fixing L of the M ordered eigenvalues gives point keys at the fixed ranks
+and, for each free rank, the segment between the adjacent fixed values.
+Unordered densities use point keys followed by full-support segments, in
+the same batch loop (``_densities``), and unordered product expectations
+use one tilted full-support segment per eigenvalue.
 
 The abscissa is a batch axis: a key's point, or a segment's ends, may be a
 vector with one entry per abscissa set, and then the slices of all sets are
@@ -36,13 +36,14 @@ the segments below and above x, and C the constant rows, ``K det[B + t*A;
 C]`` is the generating function of the number of eigenvalues above x (the
 same Cauchy-Binet argument as behind the operator), so ``P(lambda_ell <=
 x)`` sums its first ell coefficients (``_count_distribution``, which runs
-its circles for a batch of abscissae in lockstep).  Single-eigenvalue
-expectations integrate the tensor engine's density with a round-based
-adaptive Gauss-Kronrod rule on panels cut at levels of the closed-form
-distribution function, inside a bulk bracket placed from the count's two
-end coefficients alone, one determinant each.  Each round is one batched
-density call, so the total mass of a marginal stays a check of K that
-does not go through the counting polynomial.
+its circles for a batch of abscissae in lockstep); its end coefficients
+are determinants gathered from the operator's row table (``_row_table``).
+Single-eigenvalue expectations integrate the tensor engine's density with a
+round-based adaptive Gauss-Kronrod rule on panels cut at levels of the
+closed-form distribution function, inside a bulk bracket placed from the
+count's two end coefficients alone.  Each round is one batched density
+call, so the total mass of a marginal stays a check of K that does not go
+through the counting polynomial.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .pseudodet import (
     _CHUNK,
     EvalStats,
     GroupedPermutationPlan,
-    _batch_det,
+    _chunk_dets,
     _det_from_arrays,
     _Gather,
     _scale_rows,
@@ -106,7 +107,9 @@ _MAX_RECT_EIGS = 6
 _MAX_RECT_KERNEL = 8
 
 
-def _check_capability(kernel: KernelForm) -> None:
+def _kernel(model: EnsembleModel) -> KernelForm:
+    """The model's kernel, after checking that the exact paths serve it."""
+    kernel = kernel_form(model)
     if kernel.n == kernel.m:
         if kernel.m > _MAX_SQUARE_DIM:
             raise CapabilityError(
@@ -119,6 +122,7 @@ def _check_capability(kernel: KernelForm) -> None:
             f"{_MAX_RECT_EIGS} eigenvalues and kernel dimension {_MAX_RECT_KERNEL}, "
             f"got {kernel.m} and {kernel.n}"
         )
+    return kernel
 
 
 def _check_abscissa(x: float) -> float:
@@ -246,6 +250,20 @@ def _const_rows(kernel: KernelForm) -> tuple[np.ndarray, np.ndarray]:
     return const
 
 
+def _row_table(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> tuple:
+    """The slice pairs of ``keys`` (``_slices``) at ``count`` abscissa sets,
+    and the table of scaled rows every determinant here gathers from: the
+    first m rows of each key's slice, then C (``_const_rows``), with log shifts."""
+    m, n = kernel.m, kernel.n
+    pairs = _slices(kernel, keys, count, stats)
+    end = len(keys) * m
+    rows, shifts = np.empty((count, end + n - m, n)), np.empty((count, end + n - m))
+    for s, (_, (top, shift)) in enumerate(pairs):
+        rows[:, s * m : (s + 1) * m], shifts[:, s * m : (s + 1) * m] = top, shift
+    rows[:, end:], shifts[:, end:] = _const_rows(kernel)
+    return pairs, rows, shifts
+
+
 def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None) -> tuple:
     """The operator over one slice key per eigenvalue position, at ``count``
     abscissa sets: a point key is an abscissa or a vector of them, one per
@@ -261,9 +279,8 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
     In the dense n x n x n tensor, constant position k holds constant row
     k-m in rows k..n-1 of its slice, so a nonzero term takes row k there,
     and the plan covers only the m random positions.  The permutation sum
-    (``pseudodet._table_sum``) gets a table of scaled rows per set: the
-    first m rows of each group's slice, then the constant block C
-    (``_const_rows``).  Each grouping's ``_Gather``, its row indices into
+    (``pseudodet._table_sum``) gets the row table of the groups' keys
+    (``_row_table``).  Each grouping's ``_Gather``, its row indices into
     that table, is kept in ``kernel.memo``.
     """
     groups: dict = {}
@@ -279,20 +296,19 @@ def _operator(kernel: KernelForm, keys: Sequence, count: int, stats: Optional[Ev
             where[list(ks)] = s
         gather = _Gather(GroupedPermutationPlan(m, positions), where, m, n - m)
         kernel.memo[("gather", positions)] = gather
-    end = len(groups) * m
-    rows, shifts = np.empty((count, end + n - m, n)), np.empty((count, end + n - m))
-    for s, (_, (top, shift)) in enumerate(_slices(kernel, [key for key, _ in groups], count, stats)):
-        rows[:, s * m : (s + 1) * m], shifts[:, s * m : (s + 1) * m] = top, shift
-    rows[:, end:], shifts[:, end:] = _const_rows(kernel)
+    _, rows, shifts = _row_table(kernel, [key for key, _ in groups], count, stats)
     return _table_sum(rows, shifts, gather, stats)
 
 
-def _floats(scale_sign: int, log_scale: float, values: tuple) -> list:
-    """The operator's values, as signs and logs, times a scale, as floats;
-    an overflow reads as an infinity, as in ``SignedLog.to_float``."""
-    out = []
-    for sign, log in zip(*values):
-        sign *= scale_sign
+def _values(
+    kernel: KernelForm, keys: Sequence, count: int, log_const: float, stats: Optional[EvalStats] = None
+) -> list:
+    """A statistic at ``count`` abscissa sets: the operator over ``keys``,
+    times K and the constant ``exp(log_const)``, as floats; an overflow
+    reads as an infinity, as in ``SignedLog.to_float``."""
+    log_scale, out = log_const + kernel.log_k.logmag, []
+    for sign, log in zip(*_operator(kernel, keys, count, stats)):
+        sign *= kernel.log_k.sign
         try:
             out.append(sign * math.exp(log_scale + log) if sign else 0.0)
         except OverflowError:
@@ -300,62 +316,52 @@ def _floats(scale_sign: int, log_scale: float, values: tuple) -> list:
     return out
 
 
-def _unordered_values(
-    kernel: KernelForm, keys: Sequence, count: int, stats: Optional[EvalStats] = None
-) -> list:
-    """Exchangeable statistic at ``count`` abscissa sets: the operator over
-    ``keys``, divided by M!."""
-    log_scale = kernel.log_k.logmag - log_factorial(kernel.m)
-    return _floats(kernel.log_k.sign, log_scale, _operator(kernel, keys, count, stats))
-
-
 # ---------------------------------------------------------------------------
 # joint and marginal densities
 # ---------------------------------------------------------------------------
 
 
-def _ordered_rows(kernel: KernelForm, xs: np.ndarray) -> list:
-    """The indices of the rows of ``xs`` inside the ordered support: finite
-    abscissae in the support, strictly decreasing along the row."""
+def _densities(
+    kernel: KernelForm, xs: np.ndarray, keys: Callable, log_const: float, stats: Optional[EvalStats] = None
+) -> np.ndarray:
+    """A density at every row of ``xs``: ``_values`` over the keys that
+    ``keys`` builds from a batch's columns.  Rows off the ordered support
+    are 0: an abscissa outside the support or infinite, where the weights
+    vanish, or a row not strictly decreasing (at a tie the Vandermonde
+    factor vanishes).  They are dropped first, and the rest go in calls of
+    at most _CHUNK / n rows, so that a call's slice stack holds no more
+    entries than one chunk of the permutation sum's determinants."""
     lo, hi = kernel.support
-    return [
+    rows = [
         r for r, row in enumerate(xs.tolist())
         if all(lo <= v <= hi and abs(v) < _INF for v in row) and all(a > b for a, b in zip(row, row[1:]))
     ]
+    out = np.zeros(len(xs))
+    step = max(1, _CHUNK // kernel.n)
+    for start in range(0, len(rows), step):
+        part = rows[start : start + step]
+        out[part] = _values(kernel, keys(list(xs[part].T)), len(part), log_const, stats)
+    return out
 
 
 def _ordered_densities(
     kernel: KernelForm, indices: Sequence[int], xs: np.ndarray, stats: Optional[EvalStats] = None
 ) -> np.ndarray:
     """Joint density of the ordered eigenvalues at the given ranks, at every
-    row of ``xs`` (one column per rank), in batched operator calls.
-
-    A fixed rank's key is its column of abscissae; the free ranks between two
-    fixed ones share the segment between those columns, and the order
-    constant ``1 / prod (i_s - i_(s-1) - 1)!`` counts their orderings.
-    Rows outside the ordered support are 0, among them every row that is not
-    strictly decreasing (at a tie the Vandermonde factor vanishes), as is
-    every row with an infinite abscissa, where all the weights vanish.  They
-    are dropped first, and the rest go to the operator in calls of at most
-    _CHUNK / n rows, so that a call's slice stack holds no more entries than
-    one chunk of the permutation sum's determinants.
-    """
+    row of ``xs`` (one column per rank; ``_densities``).  A fixed rank's key
+    is its column of abscissae; the free ranks between two fixed ones share
+    the segment between those columns, and the order constant ``1 / prod
+    (i_s - i_(s-1) - 1)!`` counts their orderings."""
     lo, hi = kernel.support
-    xs = np.asarray(xs, dtype=float)
-    rows = _ordered_rows(kernel, xs)
-    out = np.zeros(len(xs))
-    log_scale = _log_order_constant(kernel.m, indices) + kernel.log_k.logmag
     bounds = (0, *indices, kernel.m + 1)
-    step = max(1, _CHUNK // kernel.n)
-    for start in range(0, len(rows), step):
-        part = rows[start : start + step]
-        cols = list(xs[part].T)
-        ends = [hi, *cols, lo]
-        keys = []
+
+    def keys(cols: list) -> list:
+        ends, out = [hi, *cols, lo], []
         for s, (first, stop) in enumerate(zip(bounds, bounds[1:])):
-            keys += [(ends[s + 1], ends[s], IDENTITY_TILT)] * (stop - first - 1) + cols[s : s + 1]
-        out[part] = _floats(kernel.log_k.sign, log_scale, _operator(kernel, keys, len(part), stats))
-    return out
+            out += [(ends[s + 1], ends[s], IDENTITY_TILT)] * (stop - first - 1) + cols[s : s + 1]
+        return out
+
+    return _densities(kernel, xs, keys, _log_order_constant(kernel.m, indices), stats)
 
 
 def joint_pdf_ordered(
@@ -365,10 +371,9 @@ def joint_pdf_ordered(
     stats: Optional[EvalStats] = None,
 ) -> float:
     """Joint density of the ordered eigenvalues at the given ranks."""
-    kernel = kernel_form(model)
-    _check_capability(kernel)
+    kernel = _kernel(model)
     xs = [float(v) for v in xs]
-    return float(_ordered_densities(kernel, _check_fixed(kernel.m, indices, xs), [xs], stats)[0])
+    return float(_ordered_densities(kernel, _check_fixed(kernel.m, indices, xs), np.array([xs]), stats)[0])
 
 
 def pdf_single(
@@ -397,8 +402,7 @@ def pdf_pair_grid(
     one batched density call: entry [i, j] is the density at (grid1[i],
     grid2[j]), bit for bit the value ``pdf_pair`` gives alone, so the wedge
     x_s >= x_ell is exactly 0."""
-    kernel = kernel_form(model)
-    _check_capability(kernel)
+    kernel = _kernel(model)
     g1, g2 = _check_grid(grid1), _check_grid(grid2)
     indices = _check_fixed(kernel.m, (ell, s), (g1, g2))
     xs = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -413,8 +417,7 @@ def joint_pdf_unordered(
 ) -> float:
     """Exchangeable joint density of ``count`` unordered eigenvalues; 0 where
     two of them are equal."""
-    kernel = kernel_form(model)
-    _check_capability(kernel)
+    kernel = _kernel(model)
     m = kernel.m
     if not (1 <= count <= m):
         raise ValueError(f"subset size {count} outside 1..{m}")
@@ -426,22 +429,13 @@ def joint_pdf_unordered(
 
 def _unordered_densities(kernel: KernelForm, xs: np.ndarray, stats: Optional[EvalStats] = None) -> np.ndarray:
     """``joint_pdf_unordered`` at every row of ``xs`` (one column per
-    eigenvalue), in batched operator calls.  Each row is sorted in
-    descending order first, so the density is symmetric bit for bit.  Each
-    column is one vector point key, and the other eigenvalues share one
-    full-support segment.  Rows with a point outside the support or
-    infinite, or with two equal points, are 0 and dropped first; the rest
-    go in calls sized as in ``_ordered_densities``."""
-    lo, hi = kernel.support
+    eigenvalue; ``_densities``).  Each row is sorted in descending order
+    first, so the density is symmetric bit for bit.  Each column is one
+    vector point key, the other eigenvalues share one full-support segment,
+    and the constant is 1 / M!."""
+    segments = [(*kernel.support, IDENTITY_TILT)] * (kernel.m - xs.shape[1])
     xs = np.sort(xs, axis=1)[:, ::-1]
-    rows = _ordered_rows(kernel, xs)
-    out = np.zeros(len(xs))
-    segments = [(lo, hi, IDENTITY_TILT)] * (kernel.m - xs.shape[1])
-    step = max(1, _CHUNK // kernel.n)
-    for start in range(0, len(rows), step):
-        part = rows[start : start + step]
-        out[part] = _unordered_values(kernel, list(xs[part].T) + segments, len(part), stats)
-    return out
+    return _densities(kernel, xs, lambda cols: cols + segments, -log_factorial(kernel.m), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +452,7 @@ def prob_all_in(
     (``"determinant"``), the grouped tensor path (``"tensor"``), or picks the
     fast path automatically whenever it applies.
     """
-    kernel = kernel_form(model)
-    _check_capability(kernel)
+    kernel = _kernel(model)
     if method not in ("auto", "determinant", "tensor"):
         raise ValueError(f"unknown method {method!r}")
     if method == "determinant" and kernel.n != kernel.m:
@@ -477,7 +470,7 @@ def prob_all_in(
     key = (lo, hi, IDENTITY_TILT)
     if method == "determinant":
         return (kernel.log_k * _det_from_arrays(*kernel.slice(key))).to_float()
-    return _unordered_values(kernel, [key] * kernel.m, 1)[0]
+    return _values(kernel, [key] * kernel.m, 1, -log_factorial(kernel.m))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -549,25 +542,20 @@ def _end_determinants(kernel: KernelForm, segments: Sequence, count: int) -> tup
     Each segment ``(a, b)`` names the untilted slice over it, either end a
     vector of ``count`` abscissae or a number; its block S is the first m
     rows of that slice, and its determinant is ``det[S; C]`` with the
-    constant rows C below.  Returns the blocks, one pair of sign and log
-    stacks per segment, and the determinants' signs and logs, one row per
-    abscissa and one column per segment, from one batched call.  With B and
-    A the blocks below and above x, ``K det[B; C]`` and ``K det[A; C]`` are
-    ``P(all <= x)`` and ``P(all > x)``; over the whole support, ``K det[S;
-    C]`` is the total mass N."""
+    constant rows C below, gathered from the operator's row table
+    (``_row_table``), so it reads C only after its check.  Returns the
+    blocks, one pair of sign and log stacks per segment, and the
+    determinants' signs and logs, one row per abscissa and one column per
+    segment, from one batched call.  With B and A the blocks below and above
+    x, ``K det[B; C]`` and ``K det[A; C]`` are ``P(all <= x)`` and ``P(all >
+    x)``; over the whole support, ``K det[S; C]`` is the total mass N."""
     m, n = kernel.m, kernel.n
-    const = kernel.const_rows
-    blocks = [
-        (s[:, :m], l[:, :m])
-        for (s, l), _ in _slices(kernel, [(a, b, IDENTITY_TILT) for a, b in segments], count)
-    ]
-    dets = [
-        np.stack([np.concatenate([block[k], np.broadcast_to(const[k], (count,) + const[k].shape)], axis=1)
-                  for block in blocks], axis=1).reshape(len(blocks) * count, n, n)
-        for k in (0, 1)
-    ]
-    signs, logs = _batch_det(*dets)
-    return blocks, signs.reshape(count, -1), logs.reshape(count, -1)
+    pairs, rows, shifts = _row_table(kernel, [(a, b, IDENTITY_TILT) for a, b in segments], count)
+    # segment s gathers its block's rows of the table, then the constant block
+    end = len(segments) * m
+    index = np.array([[*range(s * m, s * m + m), *range(end, end + n - m)] for s in range(len(segments))])
+    signs, logs = _chunk_dets(rows, shifts, index, np.ones(len(segments)), None)
+    return [(s[:, :m], l[:, :m]) for (s, l), _ in pairs], signs, logs
 
 
 def _times_k(kernel: KernelForm, signs: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -613,8 +601,8 @@ def _count_distribution(kernel: KernelForm, x) -> np.ndarray:
         return np.concatenate(
             [_count_distribution(kernel, flat[i : i + step]) for i in range(0, count, step)]
         )
-    const = kernel.const_rows
     (below, above), end_signs, end_logs = _end_determinants(kernel, [(lo, flat), (flat, hi)], count)
+    const = kernel.const_rows  # checked by _end_determinants
 
     signs, logs, share = np.zeros((count, m + 1)), np.full((count, m + 1), -_INF), np.zeros((count, m + 1))
     signs[:, [0, m]], logs[:, [0, m]] = end_signs, end_logs
@@ -692,8 +680,7 @@ def _resolved_cdfs(kernel: KernelForm, ell: int, xs: np.ndarray) -> np.ndarray:
 
 def cdf_single(model: EnsembleModel, ell: int, x: float) -> float:
     """Distribution function of the ell-th largest eigenvalue."""
-    kernel = kernel_form(model)
-    _check_capability(kernel)
+    kernel = _kernel(model)
     _check_rank(kernel, ell)
     return float(_resolved_cdfs(kernel, ell, np.array([_check_abscissa(x)]))[0])
 
@@ -701,8 +688,7 @@ def cdf_single(model: EnsembleModel, ell: int, x: float) -> float:
 def cdf_curve(model: EnsembleModel, ell: int, grid: Sequence[float]) -> np.ndarray:
     """Distribution function on an ascending grid, every point from one
     batched count-distribution call."""
-    kernel = kernel_form(model)
-    _check_capability(kernel)
+    kernel = _kernel(model)
     _check_rank(kernel, ell)
     return _resolved_cdfs(kernel, ell, _check_grid(grid))
 
@@ -827,8 +813,7 @@ def expect_single(model: EnsembleModel, ell: int, fn: Callable[[float], float]) 
     since the nodes depend on ``fn`` only through the halvings,
     expectations of one marginal (the moments of a ``moments`` request)
     share most of them.  ``fn`` is not asked where the density is 0."""
-    kernel = kernel_form(model)
-    _check_capability(kernel)
+    kernel = _kernel(model)
     _check_rank(kernel, ell)
     lo, hi = kernel.support
     densities = kernel.memo.setdefault(("densities", ell), {})
@@ -853,6 +838,8 @@ def moment_single(model: EnsembleModel, ell: int, order: int) -> float:
     ``expect_single`` of ``x**order``; order 0 is the marginal's mass."""
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
+    if not float(order).is_integer():  # a fractional power of a negative x is complex
+        raise ValueError(f"moment order must be an integer, got {order}")
     return expect_single(model, ell, lambda x: x**order)
 
 
@@ -860,6 +847,8 @@ def mgf_single(model: EnsembleModel, ell: int, nu: float) -> float:
     """Moment generating function ``E[exp(nu * lambda_ell)]`` of the ell-th
     largest eigenvalue; raises ``ValueError`` where it diverges, at ``nu`` at
     or above the decay rate of the weight."""
+    if not math.isfinite(nu):
+        raise ValueError(f"moment generating function exponent must be finite, got {nu}")
     kernel = kernel_form(model)
     if nu >= kernel.max_exp_rate:
         raise ValueError(
@@ -887,27 +876,32 @@ def _as_tilt(item) -> Tilt:
 def expect_product_unordered(model: EnsembleModel, factors: Sequence) -> float:
     """Expectation of a product of per-eigenvalue factors over the unordered
     spectrum; one factor per eigenvalue, identity factors allowed."""
-    kernel = kernel_form(model)
-    _check_capability(kernel)
+    kernel = _kernel(model)
     m = kernel.m
     tilts = [_as_tilt(f) for f in factors]
     if len(tilts) != m:
         raise ValueError(f"expected {m} factors, got {len(tilts)}")
-    lo, hi = kernel.support
     # one key object per distinct factor, so that equal factors form one group
-    keys: dict = {}
-    return _unordered_values(kernel, [keys.setdefault(tilt, (lo, hi, tilt)) for tilt in tilts], 1)[0]
+    distinct: dict = {}
+    keys = [distinct.setdefault(tilt, (*kernel.support, tilt)) for tilt in tilts]
+    return _values(kernel, keys, 1, -log_factorial(m))[0]
 
 
 def moments_unordered(model: EnsembleModel, orders: Sequence[int]) -> float:
     """Joint moment E[prod lambda_k^orders_k] over unordered eigenvalues."""
     if any(o < 0 for o in orders):
         raise ValueError(f"moment orders must be >= 0: {tuple(orders)}")
+    for order in orders:
+        if not float(order).is_integer():
+            raise ValueError(f"moment order must be an integer, got {order}")
     return expect_product_unordered(model, [Tilt(power=int(o)) for o in orders])
 
 
 def mgf_unordered(model: EnsembleModel, nus: Sequence[float]) -> float:
     """Joint moment generating function at the given exponents."""
+    for nu in nus:
+        if not math.isfinite(nu):
+            raise ValueError(f"moment generating function exponent must be finite, got {nu}")
     kernel = kernel_form(model)
     if any(nu >= kernel.max_exp_rate for nu in nus):
         raise ValueError(
@@ -969,8 +963,7 @@ def curve(
     if statistic == "pdf":
         if index is None:
             raise ValueError("statistic 'pdf' needs an eigenvalue index")
-        kernel = kernel_form(model)
-        _check_capability(kernel)
+        kernel = _kernel(model)
         _check_rank(kernel, index)
         values = _ordered_densities(kernel, (index,), grid[:, None])
         meta["indices"] = str(index)
@@ -980,8 +973,7 @@ def curve(
         values = cdf_curve(model, index, grid)
         meta["indices"] = str(index)
     elif statistic == "unordered-pdf":
-        kernel = kernel_form(model)
-        _check_capability(kernel)
+        kernel = _kernel(model)
         values = _unordered_densities(kernel, grid[:, None])
         meta["indices"] = "unordered"
     else:

@@ -60,6 +60,7 @@ __all__ = [
 _INF = math.inf
 # permutations per determinant batch; bounds the (B, N, N) work arrays
 _CHUNK = 4096
+_GROUP_RTOL = 1e-12  # a plan check's relative drift of logs inside one group
 
 
 class Tensor3:
@@ -227,9 +228,9 @@ class GroupedPermutationPlan:
             first[list(g)] = g[0]
         return first
 
-    def check_against(self, tensor: Tensor3, rtol: float = 1e-12) -> None:
+    def check_against(self, tensor: Tensor3) -> None:
         """Check that every entry of each group's slices equals the group's
-        first slice: signs exactly, log magnitudes to ``rtol``."""
+        first slice: signs exactly, log magnitudes to _GROUP_RTOL relative."""
         if tensor.n != self.n:
             raise InvalidPlanError(
                 f"plan dimension {self.n} does not match tensor dimension {tensor.n}"
@@ -238,7 +239,7 @@ class GroupedPermutationPlan:
         ref_l = tensor.logs[..., self._first]
         # equal signs imply both logs finite or both -inf (Tensor3 convention)
         with np.errstate(invalid="ignore"):
-            drift = np.abs(tensor.logs - ref_l) > rtol * np.maximum(1.0, np.abs(ref_l))
+            drift = np.abs(tensor.logs - ref_l) > _GROUP_RTOL * np.maximum(1.0, np.abs(ref_l))
         for bad, what in (
             (tensor.signs != ref_s, "changes sign"),
             (np.isfinite(ref_l) & drift, "varies"),

@@ -139,6 +139,22 @@ def test_mgf_joint(capsys):
     assert float(out.strip()) == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--index", "1", "--nu", "nan"),
+        ("--index", "1", "--nu", "-inf"),
+        ("--nus", "nan,0"),
+        ("--nus", "-inf,0"),
+    ],
+)
+@pytest.mark.parametrize("ensemble", [("uncorrelated-wishart", "--M", "2", "--n", "3"), ("gue", "--M", "2")])
+def test_mgf_non_finite_exponent_is_a_usage_error(capsys, ensemble, flags):
+    code, out, err = run(capsys, "mgf", "--ensemble", *ensemble, *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: moment generating function exponent must be finite"), err
+
+
 def test_mc_check_passes_small(capsys):
     code, out, _ = run(
         capsys,

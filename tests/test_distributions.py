@@ -295,6 +295,28 @@ def test_mgf_divergence_rejected():
         mgf_unordered(M22, (0.5, 1.5))
 
 
+def test_fractional_moment_orders_rejected():
+    # a fractional power of a negative eigenvalue is complex, and a tilt
+    # power is an integer: neither order may be rounded or cut silently
+    with pytest.raises(ValueError, match="moment order must be an integer, got 1.5"):
+        moments_unordered(UncorrelatedWishart(2, 3), (1.5, 0))
+    with pytest.raises(ValueError, match="moment order must be an integer, got 0.5"):
+        moment_single(GUE(3), 1, 0.5)
+    # an integral float is the integer order, bit for bit
+    model = UncorrelatedWishart(2, 3)
+    assert moments_unordered(model, (2.0, 0)) == moments_unordered(model, (2, 0))
+    assert moment_single(M22, 2, 2.0) == moment_single(M22, 2, 2)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+def test_non_finite_mgf_exponents_rejected(nu):
+    for model in (UncorrelatedWishart(2, 3), GUE(3)):
+        with pytest.raises(ValueError, match=f"exponent must be finite, got {nu}"):
+            mgf_single(model, 1, nu)
+        with pytest.raises(ValueError, match=f"exponent must be finite, got {nu}"):
+            mgf_unordered(model, (nu, 0.0, 0.0)[: kernel_form(model).m])
+
+
 # -- unordered subsets ---------------------------------------------------------------
 
 
@@ -552,6 +574,21 @@ def test_nan_constant_row_raises():
     kernel.const_rows = signs, logs
     with pytest.raises(NumericError, match=r"non-finite element in constant row 2 at column 4"):
         dist._operator(kernel, [4.0, 2.0, 1.0], 1)
+    assert "const" not in kernel.memo
+
+
+def test_nan_constant_row_raises_through_the_cdf(monkeypatch):
+    # the end determinants of the counting polynomial read the constant
+    # block from the operator's row table, so they meet the same check
+    model = CorrelatedWishart(3, 5, (2.0, 1.0), (2, 3))
+    kernel = kernel_form.__wrapped__(model)
+    signs, logs = kernel.const_rows
+    logs = logs.copy()
+    logs[1, 3] = np.nan
+    kernel.const_rows = signs, logs
+    monkeypatch.setattr(dist, "kernel_form", lambda _: kernel)
+    with pytest.raises(NumericError, match=r"non-finite element in constant row 2 at column 4"):
+        cdf_single(model, 1, 2.5)
     assert "const" not in kernel.memo
 
 

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
+import eigendist.distributions as dist
 from eigendist.ensembles import (
     Beta,
     CorrelatedWishart,
@@ -30,6 +31,7 @@ from eigendist.distributions import (
     moments_unordered,
 )
 from eigendist.errors import ConditioningWarning, InvalidModelError, NumericError
+from eigendist.pseudodet import _batch_det
 from eigendist.signedlog import SignedLog
 
 
@@ -213,6 +215,29 @@ def test_stacked_segments_below_and_above_equal_each_alone(model):
         alone = kernel.slice((float(a), float(b), Tilt()))
         assert signs[row].tobytes() == alone[0].tobytes(), (a, b)
         assert logs[row].tobytes() == alone[1].tobytes(), (a, b)
+
+
+@pytest.mark.parametrize("model", SLICE_MODELS, ids=lambda m: spec_string(m))
+def test_end_determinants_equal_stacked_raw_blocks(model):
+    # the end determinants gather scaled rows from the operator's row table;
+    # each is the determinant of its raw block stacked on the constant rows,
+    # sign and log bit for bit
+    kernel = kernel_form(model)
+    lo, hi = kernel.support
+    xs = np.array(_abscissae(kernel.support))
+    blocks, signs, logs = dist._end_determinants(kernel, [(lo, xs), (xs, hi)], len(xs))
+    const_signs, const_logs = kernel.const_rows
+    for col, (a, b) in enumerate([(np.full(len(xs), lo), xs), (xs, np.full(len(xs), hi))]):
+        block_signs, block_logs = kernel.slice((a, b, Tilt()))
+        assert blocks[col][0].tobytes() == block_signs[:, : kernel.m].tobytes()
+        assert blocks[col][1].tobytes() == block_logs[:, : kernel.m].tobytes()
+        stacked = [
+            np.concatenate([block[:, : kernel.m], np.broadcast_to(const, (len(xs),) + const.shape)], axis=1)
+            for block, const in ((block_signs, const_signs), (block_logs, const_logs))
+        ]
+        want_signs, want_logs = _batch_det(*stacked)
+        assert signs[:, col].tobytes() == want_signs.tobytes(), (a, b)
+        assert logs[:, col].tobytes() == want_logs.tobytes(), (a, b)
 
 
 @pytest.mark.parametrize(
